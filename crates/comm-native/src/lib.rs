@@ -2,871 +2,103 @@
 //!
 //! Where `simgrid` simulates a cluster on virtual clocks, this crate runs
 //! the *same* rank programs as real concurrent threads exchanging real
-//! messages: one OS thread per rank, a mailbox queue per rank, zero-copy
-//! `Arc<[f64]>` payloads, and wall-clock timing. There is no machine model
-//! application, no fault injection, no settle window, and no tracing —
-//! those are sim-private. What remains is exactly the
-//! [`Transport`](simgrid::Transport) contract:
+//! messages with wall-clock timing. Everything a rank does with a message
+//! — matching, accounting, flight recording, the stall watchdog,
+//! collectives, `split` — is the shared real-clock runtime
+//! ([`simgrid::runtime`]); this crate is the two things that are specific
+//! to one address space:
 //!
-//! * per-destination FIFO for two-sided sends (a sender enqueues in
-//!   program order, receives scan the queue in order);
-//! * `(src, tag)` and masked-tag addressing with unmatched messages left
-//!   queued;
-//! * binomial-tree collectives with the same reduction order as the
-//!   simulator, so allreduce results are bit-identical across backends;
-//! * per-collective tag sequencing and `MPI_Comm_split` semantics.
+//! * [`NativeLink`]: a send is a refcount bump of the `Arc<[f64]>` payload
+//!   pushed into the destination rank's inbox, stamped with the sender's
+//!   clock. One queue per destination, pushed in program order, is the
+//!   per-destination FIFO the [`Transport`](simgrid::Transport) contract
+//!   requires.
+//! * [`run`]: one scoped OS thread per rank; nothing outlives the call.
 //!
-//! ## Clock and attribution
-//!
-//! [`now`](simgrid::Transport::now) is real seconds since the cluster
-//! started (monotonic, shared epoch across ranks). Time attribution is by
-//! *elapsed real time since the rank's previous attribution point*: when a
-//! solver calls `compute(modeled, cat)` after running a kernel, the native
-//! backend charges the time the kernel actually took, not the model's
-//! estimate. Category times therefore tile each rank's real runtime, and
-//! the run's makespan is the real wall-clock of the slowest rank — the
-//! number the `pr5_report` bench places next to the simulator's predicted
-//! makespan.
+//! There is no machine model application, no fault injection, no settle
+//! window, and no tracing — those are sim-private.
 
-use parking_lot::{Condvar, Mutex};
 use simgrid::{
-    Category, EventKind, FaultMark, FlightRecorder, MachineModel, Metrics, MsgInfo, Payload,
-    RankStats, RecvMsg, RunReport, TraceEvent, Transport,
+    wire::FrameHeader, Endpoint, Link, MachineModel, Metrics, Payload, RealComm, RealOptions,
+    RunReport,
 };
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Tags at or above this value are reserved for collectives (same
-/// convention as the simulator).
-const COLLECTIVE_TAG_BASE: u64 = 1 << 60;
-
-/// A queued message.
-struct Msg {
-    comm_id: u64,
-    src: u32,
-    tag: u64,
-    /// Real receive-side arrival time (seconds since cluster epoch).
-    arrival: f64,
-    payload: Payload,
-    seq: u64,
+/// In-process link: hand the payload `Arc` to the destination's inbox.
+pub struct NativeLink {
+    ranks: Arc<Vec<Arc<Endpoint>>>,
 }
 
-struct Mailbox {
-    queue: Mutex<VecDeque<Msg>>,
-    cv: Condvar,
-}
+impl Link for NativeLink {
+    const NAME: &'static str = "comm-native";
 
-struct ClusterShared {
-    mailboxes: Vec<Mailbox>,
-    model: Arc<MachineModel>,
-    epoch: Instant,
-    next_comm_id: AtomicU64,
-    stall_timeout: Option<Duration>,
-    /// Per-rank flight recorders (always on, bounded; same semantics as
-    /// the simulator's). Shared so a stalling rank's watchdog can drain
-    /// every rank's ring, including ranks currently blocked.
-    flight: Vec<Arc<Mutex<FlightRecorder>>>,
-    /// Where the watchdog writes the Perfetto flight dump on a stall.
-    flight_dump_path: Option<PathBuf>,
-}
-
-impl ClusterShared {
-    #[inline]
-    fn elapsed(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
+    fn deliver(&self, dst: usize, header: &FrameHeader, payload: &Payload, now: f64) {
+        self.ranks[dst]
+            .inbox()
+            .push(*header, Arc::clone(payload), now);
     }
 
-    /// Drain every rank's flight recorder into a Perfetto trace at the
-    /// configured dump path (watchdog path; non-consuming).
-    fn dump_flight_on_stall(&self) {
-        let Some(path) = &self.flight_dump_path else {
-            return;
-        };
-        let timelines: Vec<Vec<TraceEvent>> =
-            self.flight.iter().map(|f| f.lock().drain()).collect();
-        let json = simgrid::export_perfetto(&timelines, 0);
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!(
-                "comm-native watchdog: flight recorder dumped to {}",
-                path.display()
-            ),
-            Err(e) => eprintln!(
-                "comm-native watchdog: failed to write flight dump {}: {e}",
-                path.display()
-            ),
-        }
+    /// Every rank lives in this address space, so a stalled rank's
+    /// watchdog drains every ring, including ranks currently blocked.
+    fn peers(&self) -> Option<&[Arc<Endpoint>]> {
+        Some(&self.ranks)
     }
 }
 
-/// Per-rank mutable context; owned by the rank's thread, shared by all of
-/// that rank's communicator handles.
-struct RankCtx {
-    world_rank: usize,
-    stats: RefCell<RankStats>,
-    /// Elapsed seconds at the last time attribution (see `charge`).
-    last_stamp: Cell<f64>,
-    /// Per-communicator collective sequence numbers (same tag-isolation
-    /// scheme as the simulator).
-    coll_seq: RefCell<HashMap<u64, u64>>,
-    metrics: RefCell<Metrics>,
-    /// Messages sent so far; seq ids are `(world_rank + 1) << 32 | n`,
-    /// matching the simulator's deterministic allocation scheme.
-    sent_seq: Cell<u64>,
-    /// This rank's always-on flight recorder (shared with the cluster so
-    /// stall watchdogs on other ranks can drain it).
-    flight: Arc<Mutex<FlightRecorder>>,
-}
-
-/// Handle to a communicator from one rank. Clonable within the owning
-/// rank's thread; not shareable across threads.
-pub struct NativeComm {
-    shared: Arc<ClusterShared>,
-    ctx: Rc<RankCtx>,
-    id: u64,
-    /// World ranks of the members, ordered by communicator rank.
-    members: Arc<Vec<u32>>,
-    my_idx: usize,
-}
-
-impl Clone for NativeComm {
-    fn clone(&self) -> Self {
-        NativeComm {
-            shared: Arc::clone(&self.shared),
-            ctx: Rc::clone(&self.ctx),
-            id: self.id,
-            members: Arc::clone(&self.members),
-            my_idx: self.my_idx,
-        }
-    }
-}
-
-impl NativeComm {
-    /// Attribute the real time elapsed since this rank's previous
-    /// attribution point to `cat`, and move the point to now. This makes
-    /// the per-category times tile the rank's wall-clock runtime.
-    fn charge(&self, cat: Category) -> f64 {
-        let now = self.shared.elapsed();
-        let dt = now - self.ctx.last_stamp.get();
-        self.ctx.last_stamp.set(now);
-        self.ctx.stats.borrow_mut().time[cat as usize] += dt;
-        dt
-    }
-
-    /// Enqueue a message at `dst`'s mailbox. `counted` selects whether the
-    /// send appears in traffic statistics (split/collective setup traffic
-    /// is counted, exactly like every real send — only the simulator has a
-    /// notion of zero-cost setup sends).
-    fn enqueue(&self, dst: usize, tag: u64, payload: Payload, cat: Category, counted: bool) {
-        let dst_world = self.members[dst] as usize;
-        let bytes = 8 * payload.len() + 64;
-        if counted {
-            let mut st = self.ctx.stats.borrow_mut();
-            st.bytes_sent[cat as usize] += bytes as u64;
-            st.msgs_sent[cat as usize] += 1;
-        }
-        {
-            let mut m = self.ctx.metrics.borrow_mut();
-            m.inc("msgs.sent", 1);
-            m.observe("msgs.bytes", simgrid::BYTE_BUCKETS, bytes as f64);
-        }
-        let seq = {
-            let n = self.ctx.sent_seq.get() + 1;
-            self.ctx.sent_seq.set(n);
-            ((self.ctx.world_rank as u64 + 1) << 32) | n
-        };
-        let arrival = self.shared.elapsed();
-        let msg = Msg {
-            comm_id: self.id,
-            src: self.my_idx as u32,
-            tag,
-            arrival,
-            payload,
-            seq,
-        };
-        let mb = &self.shared.mailboxes[dst_world];
-        mb.queue.lock().push_back(msg);
-        mb.cv.notify_all();
-        // Flight-record the send as an instant: the enqueue itself has no
-        // measurable duration on real hardware (sender-side time lands in
-        // the surrounding charge).
-        self.ctx.flight.lock().record(TraceEvent {
-            t0: arrival,
-            t1: arrival,
-            kind: EventKind::Send,
-            category: cat,
-            msg: Some(MsgInfo {
-                peer: dst_world,
-                bytes,
-                tag,
-                seq,
-                arrival,
-                faults: FaultMark::default(),
-            }),
-            detail: None,
-        });
-    }
-
-    /// Blocking receive of the first queued message (in real arrival
-    /// order) matching `matches` on this communicator. Does not touch the
-    /// statistics.
-    fn recv_matching(&self, matches: impl Fn(usize, u64) -> bool) -> RecvMsg {
-        let mb = &self.shared.mailboxes[self.ctx.world_rank];
-        let mut q = mb.queue.lock();
-        let started = self
-            .shared
-            .stall_timeout
-            .map(|limit| (Instant::now(), limit));
-        loop {
-            let pick = q
-                .iter()
-                .position(|m| m.comm_id == self.id && matches(m.src as usize, m.tag));
-            if let Some(idx) = pick {
-                let m = q.remove(idx).expect("picked index in bounds");
-                return RecvMsg {
-                    src: m.src as usize,
-                    tag: m.tag,
-                    arrival: m.arrival,
-                    payload: m.payload,
-                    seq: m.seq,
-                    dup: false,
-                    jittered: false,
-                };
-            }
-            match started {
-                None => mb.cv.wait(&mut q),
-                Some((t0, limit)) => {
-                    let waited = t0.elapsed();
-                    if waited >= limit {
-                        let report = self.stall_report(&q, waited);
-                        // Release the mailbox before draining the flight
-                        // recorders (the dump needs no queue state).
-                        drop(q);
-                        self.shared.dump_flight_on_stall();
-                        panic!("{report}");
-                    }
-                    // Wake periodically so every stalled rank eventually
-                    // times out (not only the ones that get notified).
-                    let chunk = (limit - waited).min(Duration::from_millis(100));
-                    mb.cv.wait_for(&mut q, chunk);
-                }
-            }
-        }
-    }
-
-    /// Count a delivery and attribute the receive (including the blocked
-    /// wait) to `cat`.
-    fn charge_recv(&self, msg: &RecvMsg, cat: Category) {
-        let dt = self.charge(cat);
-        {
-            let mut m = self.ctx.metrics.borrow_mut();
-            m.inc("msgs.received", 1);
-            m.observe("recv.wait_seconds", simgrid::WAIT_BUCKETS, dt.max(0.0));
-        }
-        // The receive span covers the whole blocked wait, ending now.
-        let t1 = self.ctx.last_stamp.get();
-        self.ctx.flight.lock().record(TraceEvent {
-            t0: t1 - dt.max(0.0),
-            t1,
-            kind: EventKind::Recv,
-            category: cat,
-            msg: Some(MsgInfo {
-                peer: self.members[msg.src] as usize,
-                bytes: 8 * msg.payload.len() + 64,
-                tag: msg.tag,
-                seq: msg.seq,
-                arrival: msg.arrival,
-                faults: FaultMark::default(),
-            }),
-            detail: None,
-        });
-    }
-
-    /// Watchdog diagnostic for a stalled receive, mirroring the
-    /// simulator's report shape.
-    fn stall_report(&self, q: &VecDeque<Msg>, waited: Duration) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "comm-native watchdog: world rank {} (comm {} rank {}/{}) stalled in recv for {:.2?}",
-            self.ctx.world_rank,
-            self.id,
-            self.my_idx,
-            self.members.len(),
-            waited,
-        );
-        let _ = writeln!(s, "  wall clock: {:.6e} s", self.shared.elapsed());
-        let _ = writeln!(s, "  queued-but-unmatched messages: {}", q.len());
-        const CAP: usize = 32;
-        for m in q.iter().take(CAP) {
-            let _ = writeln!(
-                s,
-                "    comm {:>3} src {:>4} tag {:#018x} arrival {:>12.6e} len {}",
-                m.comm_id,
-                m.src,
-                m.tag,
-                m.arrival,
-                m.payload.len(),
-            );
-        }
-        if q.len() > CAP {
-            let _ = writeln!(s, "    ... {} more", q.len() - CAP);
-        }
-        s
-    }
-
-    /// Base tag for the next collective on this communicator (same
-    /// sequencing scheme as the simulator: one fresh tag block per
-    /// collective call, members agree by program order).
-    fn coll_tag(&self) -> u64 {
-        let mut seqs = self.ctx.coll_seq.borrow_mut();
-        let seq = seqs.entry(self.id).or_insert(0);
-        *seq += 1;
-        COLLECTIVE_TAG_BASE + *seq * 4
-    }
-
-    /// Binomial reduce to rank 0 + binomial broadcast back — the shared
-    /// [`simgrid::collectives`] shape, which is what makes allreduce
-    /// results bit-identical across every backend.
-    fn reduce_bcast(&self, data: &mut [f64], cat: Category) {
-        let tag = self.coll_tag();
-        simgrid::collectives::reduce_bcast(self, tag, data, cat);
-    }
-}
-
-impl Transport for NativeComm {
-    fn rank(&self) -> usize {
-        self.my_idx
-    }
-
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn world_rank(&self, r: usize) -> usize {
-        self.members[r] as usize
-    }
-
-    fn model(&self) -> &MachineModel {
-        &self.shared.model
-    }
-
-    /// `MPI_Comm_split` over real messages: gather every member's
-    /// `(color, key)` at rank 0, allocate a fresh id block, broadcast the
-    /// decisions. Same protocol as the simulator (minus virtual time).
-    fn split(&self, color: usize, key: usize) -> Self {
-        let me = self.my_idx;
-        let size = self.members.len();
-        let tag = COLLECTIVE_TAG_BASE + 1;
-        if me == 0 {
-            let mut triples: Vec<(usize, usize, usize)> = vec![(color, key, 0)];
-            for _ in 1..size {
-                let m = self.recv_matching(|_, t| t == tag);
-                triples.push((m.payload[0] as usize, m.payload[1] as usize, m.src));
-            }
-            let base = self
-                .shared
-                .next_comm_id
-                .fetch_add(size as u64, Ordering::Relaxed);
-            let mut flat = Vec::with_capacity(3 * size + 1);
-            flat.push(base as f64);
-            for &(c, k, r) in &triples {
-                flat.push(c as f64);
-                flat.push(k as f64);
-                flat.push(r as f64);
-            }
-            let flat: Arc<[f64]> = flat.into();
-            for dst in 1..size {
-                self.enqueue(dst, tag + 1, Arc::clone(&flat), Category::Setup, false);
-            }
-            self.build_split_comm(&flat, color)
-        } else {
-            let pair: Arc<[f64]> = vec![color as f64, key as f64].into();
-            self.enqueue(0, tag, pair, Category::Setup, false);
-            let m = self.recv_matching(|s, t| s == 0 && t == tag + 1);
-            self.build_split_comm(&m.payload, color)
-        }
-    }
-
-    fn now(&self) -> f64 {
-        self.shared.elapsed()
-    }
-
-    /// The real clock advances by itself.
-    fn advance_to(&self, _t: f64) {}
-
-    /// The modeled duration is ignored: the kernel already ran in this
-    /// thread, so the *measured* time since the last attribution point is
-    /// what gets charged.
-    fn compute(&self, _seconds: f64, cat: Category) {
-        let dt = self.charge(cat);
-        let t1 = self.ctx.last_stamp.get();
-        self.ctx
-            .flight
-            .lock()
-            .record(TraceEvent::compute(t1 - dt, t1, cat));
-    }
-
-    /// Same substitution as [`compute`](Transport::compute): measured
-    /// elapsed time instead of the modeled value. Back-to-back `account`
-    /// calls (the GPU executor's busy/idle split) charge the real elapsed
-    /// time once and ~0 thereafter.
-    fn account(&self, _seconds: f64, cat: Category) {
-        let dt = self.charge(cat);
-        let t1 = self.ctx.last_stamp.get();
-        self.ctx
-            .flight
-            .lock()
-            .record(TraceEvent::compute(t1 - dt, t1, cat));
-    }
-
-    fn time_snapshot(&self) -> [f64; simgrid::N_CATEGORIES] {
-        self.ctx.stats.borrow().time
-    }
-
-    fn send_shared(&self, dst: usize, tag: u64, payload: &Payload, cat: Category) {
-        self.charge(cat);
-        self.enqueue(dst, tag, Arc::clone(payload), cat, true);
-    }
-
-    /// The modeled departure and wire times belong to the simulator's
-    /// clock domain; on real hardware the put is just an immediate
-    /// enqueue. Not subject to any ordering rule (NVSHMEM-style), which
-    /// the plain queue already satisfies.
-    fn send_timed_shared(
-        &self,
-        _depart: f64,
-        _wire: f64,
-        dst: usize,
-        tag: u64,
-        payload: &Payload,
-        cat: Category,
-    ) {
-        self.enqueue(dst, tag, Arc::clone(payload), cat, true);
-    }
-
-    fn recv(&self, src: Option<usize>, tag: Option<u64>, cat: Category) -> RecvMsg {
-        let msg = self.recv_matching(|s, t| {
-            src.is_none_or(|want| s == want) && tag.is_none_or(|want| t == want)
-        });
-        self.charge_recv(&msg, cat);
-        msg
-    }
-
-    fn recv_tag_masked(&self, mask: u64, value: u64, cat: Category) -> RecvMsg {
-        let msg = self.recv_matching(|_, t| t & mask == value);
-        self.charge_recv(&msg, cat);
-        msg
-    }
-
-    fn recv_raw_tag_masked(&self, mask: u64, value: u64) -> RecvMsg {
-        self.recv_matching(|_, t| t & mask == value)
-    }
-
-    fn barrier(&self, cat: Category) {
-        let mut token = [0.0f64];
-        self.reduce_bcast(&mut token, cat);
-    }
-
-    fn allreduce_sum(&self, data: &mut [f64], cat: Category) {
-        self.reduce_bcast(data, cat);
-    }
-
-    fn bcast(&self, root: usize, data: &mut [f64], cat: Category) {
-        let tag = self.coll_tag();
-        simgrid::collectives::bcast_from(self, root, tag, data, cat);
-    }
-
-    fn metric_inc(&self, name: &str, by: u64) {
-        self.ctx.metrics.borrow_mut().inc(name, by);
-    }
-
-    fn metric_observe(&self, name: &str, bounds: &[f64], v: f64) {
-        self.ctx.metrics.borrow_mut().observe(name, bounds, v);
-    }
-}
-
-impl NativeComm {
-    fn build_split_comm(&self, flat: &[f64], my_color: usize) -> NativeComm {
-        let base = flat[0] as u64;
-        let mut group: Vec<(usize, usize)> = Vec::new(); // (key, comm_rank_in_parent)
-        let mut colors_seen: Vec<usize> = Vec::new();
-        for chunk in flat[1..].chunks(3) {
-            let (c, k, r) = (chunk[0] as usize, chunk[1] as usize, chunk[2] as usize);
-            if !colors_seen.contains(&c) {
-                colors_seen.push(c);
-            }
-            if c == my_color {
-                group.push((k, r));
-            }
-        }
-        colors_seen.sort_unstable();
-        let color_idx = colors_seen
-            .iter()
-            .position(|&c| c == my_color)
-            .expect("own color present");
-        group.sort_unstable();
-        let members: Vec<u32> = group.iter().map(|&(_, pr)| self.members[pr]).collect();
-        let my_world = self.ctx.world_rank as u32;
-        let my_idx = members
-            .iter()
-            .position(|&w| w == my_world)
-            .expect("self in group");
-        NativeComm {
-            shared: Arc::clone(&self.shared),
-            ctx: Rc::clone(&self.ctx),
-            id: base + color_idx as u64,
-            members: Arc::new(members),
-            my_idx,
-        }
-    }
-}
-
-/// Options for a native cluster run.
-#[derive(Clone, Debug)]
-pub struct NativeOptions {
-    /// Real-time cap on a blocking receive before the watchdog panics
-    /// with a diagnostic dump instead of hanging the process. `None`
-    /// disables the watchdog.
-    pub stall_timeout: Option<Duration>,
-    /// Capacity of each rank's always-on flight recorder (most recent
-    /// spans, overwrite-oldest). 0 disables recording.
-    pub flight_capacity: usize,
-    /// When set, a stall watchdog drains every rank's flight recorder
-    /// into a Perfetto trace at this path before panicking.
-    pub flight_dump_path: Option<PathBuf>,
-}
-
-impl Default for NativeOptions {
-    fn default() -> Self {
-        NativeOptions {
-            stall_timeout: Some(Duration::from_secs(30)),
-            flight_capacity: 512,
-            flight_dump_path: None,
-        }
-    }
-}
+/// Handle to a communicator from one rank thread.
+pub type NativeComm = RealComm<NativeLink>;
 
 /// Run `f` on `nranks` real rank threads and collect per-rank results and
 /// statistics. The returned report has the same shape as a simulator run;
 /// its `makespan` is the real wall-clock of the slowest rank and its
 /// traces are empty (tracing is sim-private). The per-rank flight
 /// recorders are always on and their contents land in `report.flight`.
-pub fn run<F, R>(nranks: usize, model: MachineModel, opts: &NativeOptions, f: F) -> RunReport<R>
+pub fn run<F, R>(nranks: usize, model: MachineModel, opts: &RealOptions, f: F) -> RunReport<R>
 where
     F: Fn(NativeComm) -> R + Send + Sync,
     R: Send,
 {
     assert!(nranks > 0);
-    let shared = Arc::new(ClusterShared {
-        mailboxes: (0..nranks)
-            .map(|_| Mailbox {
-                queue: Mutex::new(VecDeque::with_capacity(1024)),
-                cv: Condvar::new(),
-            })
-            .collect(),
-        model: Arc::new(model),
-        epoch: Instant::now(),
-        next_comm_id: AtomicU64::new(1),
-        stall_timeout: opts.stall_timeout,
-        // Rings fully reserved at setup: steady-state records never
-        // allocate (the alloc audit covers the native serving path).
-        flight: (0..nranks)
-            .map(|_| Arc::new(Mutex::new(FlightRecorder::new(opts.flight_capacity))))
-            .collect(),
-        flight_dump_path: opts.flight_dump_path.clone(),
-    });
-    let world_members: Arc<Vec<u32>> = Arc::new((0..nranks as u32).collect());
+    let ranks: Arc<Vec<Arc<Endpoint>>> =
+        Arc::new((0..nranks).map(|_| Arc::new(Endpoint::new())).collect());
+    let model = Arc::new(model);
+    let epoch = Instant::now();
 
-    type RankOut<R> = (RankStats, R, Metrics);
-    let mut out: Vec<Option<RankOut<R>>> = (0..nranks).map(|_| None).collect();
+    let mut out = Vec::with_capacity(nranks);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(nranks);
         for rank in 0..nranks {
-            let shared = Arc::clone(&shared);
-            let members = Arc::clone(&world_members);
-            let f = &f;
+            let (ranks, model, f) = (Arc::clone(&ranks), Arc::clone(&model), &f);
             let h = std::thread::Builder::new()
                 .name(format!("nrank-{rank}"))
                 .stack_size(1 << 20)
                 .spawn_scoped(scope, move || {
-                    let ctx = Rc::new(RankCtx {
-                        world_rank: rank,
-                        stats: RefCell::new(RankStats::new(rank)),
-                        last_stamp: Cell::new(shared.elapsed()),
-                        coll_seq: RefCell::new(HashMap::new()),
-                        metrics: RefCell::new(Metrics::new()),
-                        sent_seq: Cell::new(0),
-                        flight: Arc::clone(&shared.flight[rank]),
-                    });
-                    let world = NativeComm {
-                        shared: Arc::clone(&shared),
-                        ctx: Rc::clone(&ctx),
-                        id: 0,
-                        members,
-                        my_idx: rank,
-                    };
-                    let r = f(world);
-                    let mut stats = ctx.stats.borrow().clone();
-                    stats.final_clock = shared.elapsed();
-                    let metrics = ctx.metrics.borrow().clone();
+                    let me = Arc::clone(&ranks[rank]);
+                    let link = NativeLink { ranks };
+                    let world = RealComm::world(rank, nranks, epoch, model, me, link, opts);
+                    let r = f(world.clone());
+                    let (stats, metrics) = world.finish();
                     (stats, r, metrics)
                 })
                 .expect("spawn rank thread");
             handles.push(h);
         }
-        for (rank, h) in handles.into_iter().enumerate() {
-            out[rank] = Some(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        for h in handles {
+            out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
     });
 
     let mut stats = Vec::with_capacity(nranks);
     let mut results = Vec::with_capacity(nranks);
     let mut metrics = Metrics::new();
-    for slot in out {
-        let (s, r, m) = slot.expect("every rank completed");
+    for (s, r, m) in out {
         stats.push(s);
         results.push(r);
         metrics.merge_from(&m);
     }
     let mut rep = RunReport::new(stats, results);
-    rep.flight = shared.flight.iter().map(|f| f.lock().drain()).collect();
+    rep.flight = ranks.iter().map(|e| e.flight()).collect();
     rep.metrics = metrics;
     rep
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn toy_model() -> MachineModel {
-        MachineModel::uniform("toy", 1e9, 1e-6, 1e9, 4)
-    }
-
-    #[test]
-    fn ping_pong_delivers_payloads() {
-        let rep = run(2, toy_model(), &NativeOptions::default(), |c| {
-            if c.rank() == 0 {
-                Transport::send(&c, 1, 7, &[1.0, 2.0], Category::XyComm);
-                let m = Transport::recv(&c, Some(1), Some(8), Category::XyComm);
-                assert_eq!(&m.payload[..], &[3.0]);
-            } else {
-                let m = Transport::recv(&c, Some(0), Some(7), Category::XyComm);
-                assert_eq!(&m.payload[..], &[1.0, 2.0]);
-                Transport::send(&c, 0, 8, &[3.0], Category::XyComm);
-            }
-            c.now()
-        });
-        assert!(rep.makespan > 0.0, "real time passed");
-        assert_eq!(rep.metrics.counter("msgs.received"), 2);
-    }
-
-    #[test]
-    fn fifo_non_overtaking_per_source() {
-        let rep = run(2, toy_model(), &NativeOptions::default(), |c| {
-            if c.rank() == 0 {
-                Transport::send(&c, 1, 5, &[1.0], Category::XyComm);
-                Transport::send(&c, 1, 5, &[2.0], Category::XyComm);
-                Transport::send(&c, 1, 5, &[3.0], Category::XyComm);
-                Vec::new()
-            } else {
-                (0..3)
-                    .map(|_| Transport::recv(&c, Some(0), Some(5), Category::XyComm).payload[0])
-                    .collect::<Vec<f64>>()
-            }
-        });
-        assert_eq!(rep.results[1], vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn tag_masked_receives_leave_other_phases_queued() {
-        let rep = run(2, toy_model(), &NativeOptions::default(), |c| {
-            if c.rank() == 0 {
-                // Epoch 1 message sent *before* the epoch 0 message.
-                Transport::send(&c, 1, (1 << 48) | 7, &[10.0], Category::XyComm);
-                Transport::send(&c, 1, 7, &[1.0], Category::XyComm);
-                (0.0, 0.0)
-            } else {
-                let mask = !((1u64 << 48) - 1);
-                let e0 = c.recv_tag_masked(mask, 0, Category::XyComm).payload[0];
-                let e1 = c.recv_tag_masked(mask, 1 << 48, Category::XyComm).payload[0];
-                (e0, e1)
-            }
-        });
-        assert_eq!(rep.results[1], (1.0, 10.0));
-    }
-
-    /// The reduction order is pinned to the simulator's: allreduce results
-    /// must be bit-identical between the two backends.
-    #[test]
-    fn allreduce_bits_match_the_simulator() {
-        for p in [1usize, 2, 3, 4, 7, 8] {
-            // Values chosen so summation order matters in f64.
-            let contrib = |r: usize| [1.0 + 1e-16 * r as f64, (r as f64 + 0.1).ln(), 3e300];
-            let native = run(p, toy_model(), &NativeOptions::default(), move |c| {
-                let mut v = contrib(c.rank());
-                c.allreduce_sum(&mut v, Category::ZComm);
-                v
-            });
-            let sim = simgrid::run(
-                p,
-                toy_model(),
-                &simgrid::ClusterOptions::default(),
-                move |c| {
-                    let mut v = contrib(c.rank());
-                    c.allreduce_sum(&mut v, Category::ZComm);
-                    v
-                },
-            );
-            for r in 0..p {
-                assert_eq!(
-                    native.results[r].map(f64::to_bits),
-                    sim.results[r].map(f64::to_bits),
-                    "rank {r} of {p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn split_creates_disjoint_comms() {
-        let rep = run(6, toy_model(), &NativeOptions::default(), |c| {
-            let color = c.rank() % 2;
-            let sub = c.split(color, c.rank());
-            let mut v = [c.rank() as f64];
-            sub.allreduce_sum(&mut v, Category::ZComm);
-            (sub.rank(), sub.size(), v[0])
-        });
-        for wr in 0..6 {
-            let (sr, ss, sum) = rep.results[wr];
-            assert_eq!(ss, 3);
-            assert_eq!(sr, wr / 2);
-            assert_eq!(sum, if wr % 2 == 0 { 6.0 } else { 9.0 });
-        }
-    }
-
-    #[test]
-    fn bcast_from_nonzero_root() {
-        let rep = run(5, toy_model(), &NativeOptions::default(), |c| {
-            let mut v = if c.rank() == 3 { [42.0] } else { [0.0] };
-            c.bcast(3, &mut v, Category::XyComm);
-            v[0]
-        });
-        assert!(rep.results.iter().all(|&v| v == 42.0));
-    }
-
-    #[test]
-    fn category_times_tile_the_rank_runtime() {
-        let rep = run(2, toy_model(), &NativeOptions::default(), |c| {
-            if c.rank() == 0 {
-                std::thread::sleep(Duration::from_millis(20));
-                c.compute(0.0, Category::Flop); // charges the real 20ms
-                Transport::send(&c, 1, 1, &[1.0], Category::XyComm);
-            } else {
-                Transport::recv(&c, Some(0), Some(1), Category::ZComm);
-            }
-        });
-        let flop = rep.stats[0].time[Category::Flop as usize];
-        assert!(flop >= 0.015, "measured compute time charged: {flop}");
-        // Rank 1 blocked on the receive for ~as long; charged to ZComm.
-        let z = rep.stats[1].time[Category::ZComm as usize];
-        assert!(z >= 0.015, "blocked receive time charged: {z}");
-        assert!(rep.makespan >= 0.015);
-    }
-
-    #[test]
-    fn flight_recorder_captures_native_spans() {
-        let rep = run(2, toy_model(), &NativeOptions::default(), |c| {
-            if c.rank() == 0 {
-                c.compute(0.0, Category::Flop);
-                Transport::send(&c, 1, 7, &[1.0, 2.0], Category::XyComm);
-            } else {
-                Transport::recv(&c, Some(0), Some(7), Category::XyComm);
-            }
-        });
-        assert_eq!(rep.flight.len(), 2);
-        let kinds: Vec<EventKind> = rep.flight[0].iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EventKind::Compute));
-        assert!(kinds.contains(&EventKind::Send));
-        assert!(rep.flight[1].iter().any(|e| e.kind == EventKind::Recv));
-        // Send/recv pair by sequence id, same as sim traces.
-        let send_seq = rep.flight[0]
-            .iter()
-            .find(|e| e.kind == EventKind::Send)
-            .and_then(|e| e.msg.map(|m| m.seq))
-            .unwrap();
-        assert!(rep.flight[1]
-            .iter()
-            .any(|e| e.msg.is_some_and(|m| m.seq == send_seq)));
-    }
-
-    #[test]
-    fn stall_watchdog_dumps_flight_recorder() {
-        let dump = std::env::temp_dir().join("comm_native_stall_flight_test.json");
-        let _ = std::fs::remove_file(&dump);
-        let opts = NativeOptions {
-            stall_timeout: Some(Duration::from_millis(200)),
-            flight_dump_path: Some(dump.clone()),
-            ..NativeOptions::default()
-        };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(2, toy_model(), &opts, |c| {
-                // Real traffic first so both ranks hold flight spans.
-                let mut v = [c.rank() as f64];
-                c.allreduce_sum(&mut v, Category::ZComm);
-                if c.rank() == 0 {
-                    // Never satisfied: the watchdog fires and dumps.
-                    Transport::recv(&c, Some(1), Some(99), Category::XyComm);
-                }
-            });
-        }))
-        .expect_err("stalled run must panic");
-        drop(err);
-        let json = std::fs::read_to_string(&dump).expect("flight dump written on stall");
-        let v: serde_json::Value = serde_json::from_str(&json).expect("dump is valid JSON");
-        let events = match v.get("traceEvents") {
-            Some(serde_json::Value::Array(a)) => a,
-            other => panic!("traceEvents missing: {other:?}"),
-        };
-        for rank in 0..2i64 {
-            assert!(
-                events.iter().any(|e| {
-                    e.get("ph") == Some(&serde_json::Value::Str("X".into()))
-                        && e.get("tid") == Some(&serde_json::Value::Int(rank))
-                }),
-                "rank {rank} has no spans in the stall dump"
-            );
-        }
-        let _ = std::fs::remove_file(&dump);
-    }
-
-    #[test]
-    fn watchdog_reports_stalled_ranks_instead_of_hanging() {
-        let opts = NativeOptions {
-            stall_timeout: Some(Duration::from_millis(200)),
-            ..NativeOptions::default()
-        };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(2, toy_model(), &opts, |c| {
-                if c.rank() == 0 {
-                    // Tag 99 is never sent: rank 0 stalls forever.
-                    Transport::recv(&c, Some(1), Some(99), Category::XyComm);
-                }
-            });
-        }))
-        .expect_err("stalled run must panic, not hang");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains("watchdog"), "diagnostic missing: {msg}");
-        assert!(msg.contains("world rank 0"), "diagnostic missing: {msg}");
-    }
 }

@@ -10,6 +10,12 @@
 //! process scheduling, and kernel socket buffering while still producing
 //! solutions bit-identical to the simulator.
 //!
+//! Everything a rank does with a message — matching, accounting, flight
+//! recording, the stall watchdog, collectives, `split` — is the shared
+//! real-clock runtime ([`simgrid::runtime`]). This crate is [`ProcLink`]
+//! (how a frame reaches another process) and the process plumbing around
+//! it: fork, rendezvous, result blobs, exit codes, reaping.
+//!
 //! ## Topology and bootstrap
 //!
 //! The parent binds one listening socket per rank inside a fresh
@@ -18,10 +24,10 @@
 //! processes; since every listener exists before any child runs, a
 //! child's lazy `connect` to a peer can never race the peer's bind.
 //! Children read the manifest for peer addresses, accept inbound
-//! connections on their own listener, and push decoded frames into a
-//! single inbox queue. One socket per ordered (sender, receiver) pair +
+//! connections on their own listener, and push decoded frames into the
+//! rank's inbox. One socket per ordered (sender, receiver) pair +
 //! in-order frame decoding preserves the per-source FIFO the
-//! [`Transport`] contract requires.
+//! [`Transport`](simgrid::Transport) contract requires.
 //!
 //! Results travel back out of band: each child gets a pre-forked
 //! socketpair and writes one length-prefixed blob — its [`RankStats`],
@@ -31,36 +37,28 @@
 //! watchdog) exits with status 101, which the parent surfaces as a panic
 //! naming the rank; the parent polls `waitpid` while reading results so a
 //! dead child is reported within ~50 ms instead of hanging the run.
+//! Whatever goes wrong — during set-up or after — the parent kills and
+//! reaps every child it forked and removes the rendezvous directory
+//! before it panics.
 //!
-//! ## Clock and attribution
+//! ## Clock
 //!
 //! The parent captures the monotonic epoch *before* forking, so every
 //! child inherits the same `Instant` and `now()` is comparable across
-//! ranks (`CLOCK_MONOTONIC` is per-boot, not per-process). Time
-//! attribution is measured-elapsed-since-last-stamp, identical to
-//! `comm_native`. Communicator ids come from a single shared-memory
-//! counter page mapped before the forks, so `split` allocates ids with
-//! the same fetch-add discipline as the threaded backend.
+//! ranks (`CLOCK_MONOTONIC` is per-boot, not per-process).
 
-use parking_lot::{Condvar, Mutex};
 use simgrid::wire::{self, FrameHeader, WireError, WirePack, WireReader};
 use simgrid::{
-    Category, EventKind, FaultMark, FlightRecorder, MachineModel, Metrics, MsgInfo, Payload,
-    RankStats, RecvMsg, RunReport, TraceEvent, Transport,
+    Endpoint, Link, MachineModel, Metrics, Payload, RankStats, RealComm, RealOptions, RunReport,
+    TraceEvent,
 };
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Tags at or above this value are reserved for collectives (same
-/// convention as the simulator and the threaded backend).
-const COLLECTIVE_TAG_BASE: u64 = 1 << 60;
 
 /// Child exit status for a rank whose program (or stall watchdog)
 /// panicked.
@@ -73,7 +71,7 @@ const EXIT_RESULT_LOST: i32 = 102;
 /// Minimal libc surface for process management; the workspace vendors no
 /// `libc` crate, so the handful of calls are declared directly.
 mod sys {
-    use std::os::raw::{c_int, c_void};
+    use std::os::raw::c_int;
 
     extern "C" {
         fn fork() -> c_int;
@@ -81,45 +79,35 @@ mod sys {
         fn kill(pid: c_int, sig: c_int) -> c_int;
         fn _exit(code: c_int) -> !;
         fn getpid() -> c_int;
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 
     const WNOHANG: c_int = 1;
     const SIGKILL: c_int = 9;
-    const PROT_READ: c_int = 1;
-    const PROT_WRITE: c_int = 2;
-    const MAP_SHARED: c_int = 0x01;
-    const MAP_ANONYMOUS: c_int = 0x20;
-    const PAGE: usize = 4096;
 
     /// `fork(2)`: 0 in the child, the child's pid in the parent, negative
     /// on failure.
     pub fn fork_process() -> i32 {
+        // SAFETY: no arguments and no memory handed over. The child is a
+        // copy of the calling thread only; it runs the rank program and
+        // leaves through `exit_now`, never returning into the parent's
+        // control flow.
         unsafe { fork() }
+    }
+
+    fn wait(pid: i32, options: c_int) -> Option<i32> {
+        let mut status: c_int = 0;
+        // SAFETY: `status` is a live, writable `c_int` for the whole call.
+        (unsafe { waitpid(pid, &mut status, options) } == pid).then_some(status)
     }
 
     /// Non-blocking reap: the raw wait status if `pid` has exited.
     pub fn wait_nohang(pid: i32) -> Option<i32> {
-        let mut status: c_int = 0;
-        match unsafe { waitpid(pid, &mut status, WNOHANG) } {
-            r if r == pid => Some(status),
-            _ => None,
-        }
+        wait(pid, WNOHANG)
     }
 
     /// Blocking reap of `pid`; returns the raw wait status.
     pub fn wait_blocking(pid: i32) -> i32 {
-        let mut status: c_int = 0;
-        unsafe { waitpid(pid, &mut status, 0) };
-        status
+        wait(pid, 0).unwrap_or(0)
     }
 
     /// Decode a raw wait status into an exit-code-like value: the exit
@@ -134,601 +122,75 @@ mod sys {
 
     /// SIGKILL `pid` (best effort).
     pub fn kill_hard(pid: i32) {
+        // SAFETY: plain integers; `pid` is a child this process forked and
+        // has not reaped yet, so it cannot name an unrelated process.
         unsafe { kill(pid, SIGKILL) };
     }
 
     /// Terminate immediately without running destructors or flushing
     /// inherited stdio buffers — mandatory in a forked child.
     pub fn exit_now(code: i32) -> ! {
+        // SAFETY: never returns and touches no memory.
         unsafe { _exit(code) }
     }
 
     /// This process's pid.
     pub fn pid() -> i32 {
+        // SAFETY: no arguments, cannot fail.
         unsafe { getpid() }
     }
-
-    /// Map one anonymous page shared across future forks.
-    pub fn map_shared_page() -> *mut u8 {
-        let p = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                PAGE,
-                PROT_READ | PROT_WRITE,
-                MAP_SHARED | MAP_ANONYMOUS,
-                -1,
-                0,
-            )
-        };
-        assert!(
-            !std::ptr::eq(p, usize::MAX as *mut c_void) && !p.is_null(),
-            "comm-proc: mmap of the shared counter page failed"
-        );
-        p as *mut u8
-    }
-
-    /// Unmap a page from [`map_shared_page`].
-    pub fn unmap_page(p: *mut u8) {
-        unsafe { munmap(p as *mut c_void, PAGE) };
-    }
 }
 
-/// Non-owning handle to the fork-shared communicator-id counter.
-#[derive(Clone, Copy)]
-struct CounterHandle {
-    ptr: *const AtomicU64,
-}
-
-impl CounterHandle {
-    fn fetch_add(&self, n: u64) -> u64 {
-        unsafe { (*self.ptr).fetch_add(n, Ordering::Relaxed) }
-    }
-}
-
-/// Owning side of the shared counter page (parent unmaps at run end).
-struct SharedCounter {
-    ptr: *mut AtomicU64,
-}
-
-impl SharedCounter {
-    fn new(init: u64) -> Self {
-        let ptr = sys::map_shared_page() as *mut AtomicU64;
-        unsafe { ptr.write(AtomicU64::new(init)) };
-        SharedCounter { ptr }
-    }
-
-    fn handle(&self) -> CounterHandle {
-        CounterHandle { ptr: self.ptr }
-    }
-}
-
-impl Drop for SharedCounter {
-    fn drop(&mut self) {
-        sys::unmap_page(self.ptr as *mut u8);
-    }
-}
-
-/// A decoded inbound message queued for matching.
-struct InMsg {
-    comm_id: u64,
-    src: u32,
-    tag: u64,
-    /// Real receive-side arrival time (seconds since cluster epoch),
-    /// stamped by the reader thread when the frame is decoded.
-    arrival: f64,
-    payload: Payload,
-    seq: u64,
-}
-
-/// The rank's single inbox: reader threads push decoded frames, the rank
-/// program scans and waits.
-struct Inbox {
-    queue: Mutex<VecDeque<InMsg>>,
-    cv: Condvar,
-}
-
-/// Per-process rank context; owned by the rank's main thread, shared by
-/// all of that rank's communicator handles.
-struct ChildCtx {
+/// Cross-process link: one lazily connected `UnixStream` per destination,
+/// one [`wire`] frame per message.
+pub struct ProcLink {
     world_rank: usize,
-    epoch: Instant,
-    model: MachineModel,
-    inbox: Arc<Inbox>,
     /// Socket path per world rank, from the manifest.
     peers: Vec<PathBuf>,
-    /// Lazily opened outbound connections, indexed by world rank. One
-    /// stream per destination keeps the per-source FIFO.
+    /// Outbound connections, indexed by world rank. One stream per
+    /// destination keeps the per-source FIFO.
     conns: RefCell<Vec<Option<UnixStream>>>,
     /// Reused frame-encoding buffer: steady-state sends allocate nothing
     /// beyond payload growth.
     scratch: RefCell<Vec<u8>>,
-    stats: RefCell<RankStats>,
-    /// Elapsed seconds at the last time attribution (see `charge`).
-    last_stamp: Cell<f64>,
-    /// Per-communicator collective sequence numbers (same tag-isolation
-    /// scheme as the simulator).
-    coll_seq: RefCell<HashMap<u64, u64>>,
-    metrics: RefCell<Metrics>,
-    /// Messages sent so far; seq ids are `(world_rank + 1) << 32 | n`,
-    /// matching the simulator's deterministic allocation scheme.
-    sent_seq: Cell<u64>,
-    flight: RefCell<FlightRecorder>,
-    /// Fork-shared id counter backing `split`.
-    next_comm_id: CounterHandle,
-    stall_timeout: Option<Duration>,
-    flight_dump_path: Option<PathBuf>,
 }
 
-impl ChildCtx {
-    #[inline]
-    fn elapsed(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-}
+impl Link for ProcLink {
+    const NAME: &'static str = "comm-proc";
 
-/// Handle to a communicator from one rank process. Clonable within the
-/// owning rank; never crosses a process boundary.
-pub struct ProcComm {
-    ctx: Rc<ChildCtx>,
-    id: u64,
-    /// World ranks of the members, ordered by communicator rank.
-    members: Arc<Vec<u32>>,
-    my_idx: usize,
-}
-
-impl Clone for ProcComm {
-    fn clone(&self) -> Self {
-        ProcComm {
-            ctx: Rc::clone(&self.ctx),
-            id: self.id,
-            members: Arc::clone(&self.members),
-            my_idx: self.my_idx,
-        }
-    }
-}
-
-impl ProcComm {
-    /// Attribute the real time elapsed since this rank's previous
-    /// attribution point to `cat` (identical to `comm_native`).
-    fn charge(&self, cat: Category) -> f64 {
-        let now = self.ctx.elapsed();
-        let dt = now - self.ctx.last_stamp.get();
-        self.ctx.last_stamp.set(now);
-        self.ctx.stats.borrow_mut().time[cat as usize] += dt;
-        dt
-    }
-
-    /// Encode `payload` as one wire frame and write it to `dst`'s socket,
-    /// connecting lazily on first use. `counted` selects whether the send
-    /// appears in traffic statistics; the *accounted* byte count uses the
-    /// same `8·len + 64` envelope constant as the other backends so
-    /// cross-backend message statistics stay comparable (the physical
-    /// frame is `56 + 8·len` bytes).
-    fn send_to(&self, dst: usize, tag: u64, payload: &[f64], cat: Category, counted: bool) {
-        let dst_world = self.members[dst] as usize;
-        let bytes = 8 * payload.len() + 64;
-        if counted {
-            let mut st = self.ctx.stats.borrow_mut();
-            st.bytes_sent[cat as usize] += bytes as u64;
-            st.msgs_sent[cat as usize] += 1;
-        }
-        {
-            let mut m = self.ctx.metrics.borrow_mut();
-            m.inc("msgs.sent", 1);
-            m.observe("msgs.bytes", simgrid::BYTE_BUCKETS, bytes as f64);
-        }
-        let seq = {
-            let n = self.ctx.sent_seq.get() + 1;
-            self.ctx.sent_seq.set(n);
-            ((self.ctx.world_rank as u64 + 1) << 32) | n
-        };
-        let header = FrameHeader {
-            comm_id: self.id,
-            src: self.my_idx as u32,
-            bitmap_words: 0,
-            tag,
-            seq,
-        };
-        {
-            let mut conns = self.ctx.conns.borrow_mut();
-            let conn = conns[dst_world].get_or_insert_with(|| {
-                UnixStream::connect(&self.ctx.peers[dst_world]).unwrap_or_else(|e| {
-                    panic!(
-                        "comm-proc: rank {} cannot connect to world rank {dst_world}: {e}",
-                        self.ctx.world_rank
-                    )
-                })
-            });
-            let mut scratch = self.ctx.scratch.borrow_mut();
-            scratch.clear();
-            wire::encode_frame(&mut scratch, &header, payload);
-            conn.write_all(&scratch).unwrap_or_else(|e| {
-                panic!(
-                    "comm-proc: rank {} failed sending to world rank {dst_world}: {e}",
-                    self.ctx.world_rank
-                )
-            });
-        }
-        let sent_at = self.ctx.elapsed();
-        self.ctx.flight.borrow_mut().record(TraceEvent {
-            t0: sent_at,
-            t1: sent_at,
-            kind: EventKind::Send,
-            category: cat,
-            msg: Some(MsgInfo {
-                peer: dst_world,
-                bytes,
-                tag,
-                seq,
-                arrival: sent_at,
-                faults: FaultMark::default(),
-            }),
-            detail: None,
+    /// Encode one frame and write it to `dst`'s socket, connecting on first
+    /// use. `arrival` is stamped on the far side, by the reader thread
+    /// that decodes the frame (see [`reader_loop`]).
+    fn deliver(&self, dst: usize, header: &FrameHeader, payload: &Payload, _now: f64) {
+        let me = self.world_rank;
+        let mut conns = self.conns.borrow_mut();
+        let conn = conns[dst].get_or_insert_with(|| {
+            UnixStream::connect(&self.peers[dst]).unwrap_or_else(|e| {
+                panic!("comm-proc: rank {me} cannot connect to world rank {dst}: {e}")
+            })
+        });
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.clear();
+        wire::encode_frame(&mut scratch, header, payload);
+        conn.write_all(&scratch).unwrap_or_else(|e| {
+            panic!("comm-proc: rank {me} failed sending to world rank {dst}: {e}")
         });
     }
-
-    /// Blocking receive of the first queued message (in real arrival
-    /// order) matching `matches` on this communicator. Does not touch the
-    /// statistics.
-    fn recv_matching(&self, matches: impl Fn(usize, u64) -> bool) -> RecvMsg {
-        let inbox = &self.ctx.inbox;
-        let mut q = inbox.queue.lock();
-        let started = self.ctx.stall_timeout.map(|limit| (Instant::now(), limit));
-        loop {
-            let pick = q
-                .iter()
-                .position(|m| m.comm_id == self.id && matches(m.src as usize, m.tag));
-            if let Some(idx) = pick {
-                let m = q.remove(idx).expect("picked index in bounds");
-                return RecvMsg {
-                    src: m.src as usize,
-                    tag: m.tag,
-                    arrival: m.arrival,
-                    payload: m.payload,
-                    seq: m.seq,
-                    dup: false,
-                    jittered: false,
-                };
-            }
-            match started {
-                None => inbox.cv.wait(&mut q),
-                Some((t0, limit)) => {
-                    let waited = t0.elapsed();
-                    if waited >= limit {
-                        let report = self.stall_report(&q, waited);
-                        drop(q);
-                        self.dump_flight_on_stall();
-                        panic!("{report}");
-                    }
-                    // Wake periodically so a stalled rank times out even
-                    // when nothing ever notifies.
-                    let chunk = (limit - waited).min(Duration::from_millis(100));
-                    inbox.cv.wait_for(&mut q, chunk);
-                }
-            }
-        }
-    }
-
-    /// Count a delivery and attribute the receive (including the blocked
-    /// wait) to `cat`.
-    fn charge_recv(&self, msg: &RecvMsg, cat: Category) {
-        let dt = self.charge(cat);
-        {
-            let mut m = self.ctx.metrics.borrow_mut();
-            m.inc("msgs.received", 1);
-            m.observe("recv.wait_seconds", simgrid::WAIT_BUCKETS, dt.max(0.0));
-        }
-        let t1 = self.ctx.last_stamp.get();
-        self.ctx.flight.borrow_mut().record(TraceEvent {
-            t0: t1 - dt.max(0.0),
-            t1,
-            kind: EventKind::Recv,
-            category: cat,
-            msg: Some(MsgInfo {
-                peer: self.members[msg.src] as usize,
-                bytes: 8 * msg.payload.len() + 64,
-                tag: msg.tag,
-                seq: msg.seq,
-                arrival: msg.arrival,
-                faults: FaultMark::default(),
-            }),
-            detail: None,
-        });
-    }
-
-    /// Watchdog diagnostic for a stalled receive, mirroring the other
-    /// backends' report shape.
-    fn stall_report(&self, q: &VecDeque<InMsg>, waited: Duration) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "comm-proc watchdog: world rank {} (comm {} rank {}/{}) stalled in recv for {:.2?}",
-            self.ctx.world_rank,
-            self.id,
-            self.my_idx,
-            self.members.len(),
-            waited,
-        );
-        let _ = writeln!(s, "  wall clock: {:.6e} s", self.ctx.elapsed());
-        let _ = writeln!(s, "  queued-but-unmatched messages: {}", q.len());
-        const CAP: usize = 32;
-        for m in q.iter().take(CAP) {
-            let _ = writeln!(
-                s,
-                "    comm {:>3} src {:>4} tag {:#018x} arrival {:>12.6e} len {}",
-                m.comm_id,
-                m.src,
-                m.tag,
-                m.arrival,
-                m.payload.len(),
-            );
-        }
-        if q.len() > CAP {
-            let _ = writeln!(s, "    ... {} more", q.len() - CAP);
-        }
-        s
-    }
-
-    /// Dump this rank's flight ring on a stall. A process can only see
-    /// its own ring, so each rank writes `<stem>.rank<r>.<ext>`; the
-    /// timeline is padded with empty ranks so the span `tid` still equals
-    /// the world rank.
-    fn dump_flight_on_stall(&self) {
-        let Some(path) = &self.ctx.flight_dump_path else {
-            return;
-        };
-        let path = rank_dump_path(path, self.ctx.world_rank);
-        let mut timelines: Vec<Vec<TraceEvent>> = vec![Vec::new(); self.ctx.world_rank];
-        timelines.push(self.ctx.flight.borrow().drain());
-        let json = simgrid::export_perfetto(&timelines, 0);
-        match std::fs::write(&path, &json) {
-            Ok(()) => eprintln!(
-                "comm-proc watchdog: rank {} flight recorder dumped to {}",
-                self.ctx.world_rank,
-                path.display()
-            ),
-            Err(e) => eprintln!(
-                "comm-proc watchdog: failed to write flight dump {}: {e}",
-                path.display()
-            ),
-        }
-    }
-
-    /// Base tag for the next collective on this communicator (same
-    /// sequencing scheme as the other backends).
-    fn coll_tag(&self) -> u64 {
-        let mut seqs = self.ctx.coll_seq.borrow_mut();
-        let seq = seqs.entry(self.id).or_insert(0);
-        *seq += 1;
-        COLLECTIVE_TAG_BASE + *seq * 4
-    }
-
-    fn build_split_comm(&self, flat: &[f64], my_color: usize) -> ProcComm {
-        let base = flat[0] as u64;
-        let mut group: Vec<(usize, usize)> = Vec::new(); // (key, comm_rank_in_parent)
-        let mut colors_seen: Vec<usize> = Vec::new();
-        for chunk in flat[1..].chunks(3) {
-            let (c, k, r) = (chunk[0] as usize, chunk[1] as usize, chunk[2] as usize);
-            if !colors_seen.contains(&c) {
-                colors_seen.push(c);
-            }
-            if c == my_color {
-                group.push((k, r));
-            }
-        }
-        colors_seen.sort_unstable();
-        let color_idx = colors_seen
-            .iter()
-            .position(|&c| c == my_color)
-            .expect("own color present");
-        group.sort_unstable();
-        let members: Vec<u32> = group.iter().map(|&(_, pr)| self.members[pr]).collect();
-        let my_world = self.ctx.world_rank as u32;
-        let my_idx = members
-            .iter()
-            .position(|&w| w == my_world)
-            .expect("self in group");
-        ProcComm {
-            ctx: Rc::clone(&self.ctx),
-            id: base + color_idx as u64,
-            members: Arc::new(members),
-            my_idx,
-        }
-    }
 }
 
-impl Transport for ProcComm {
-    fn rank(&self) -> usize {
-        self.my_idx
-    }
-
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn world_rank(&self, r: usize) -> usize {
-        self.members[r] as usize
-    }
-
-    fn model(&self) -> &MachineModel {
-        &self.ctx.model
-    }
-
-    /// `MPI_Comm_split` over real sockets: gather every member's
-    /// `(color, key)` at rank 0, allocate a fresh id block from the
-    /// fork-shared counter, broadcast the decisions. Same protocol as the
-    /// other backends.
-    fn split(&self, color: usize, key: usize) -> Self {
-        let me = self.my_idx;
-        let size = self.members.len();
-        let tag = COLLECTIVE_TAG_BASE + 1;
-        if me == 0 {
-            let mut triples: Vec<(usize, usize, usize)> = vec![(color, key, 0)];
-            for _ in 1..size {
-                let m = self.recv_matching(|_, t| t == tag);
-                triples.push((m.payload[0] as usize, m.payload[1] as usize, m.src));
-            }
-            let base = self.ctx.next_comm_id.fetch_add(size as u64);
-            let mut flat = Vec::with_capacity(3 * size + 1);
-            flat.push(base as f64);
-            for &(c, k, r) in &triples {
-                flat.push(c as f64);
-                flat.push(k as f64);
-                flat.push(r as f64);
-            }
-            for dst in 1..size {
-                self.send_to(dst, tag + 1, &flat, Category::Setup, false);
-            }
-            self.build_split_comm(&flat, color)
-        } else {
-            self.send_to(0, tag, &[color as f64, key as f64], Category::Setup, false);
-            let m = self.recv_matching(|s, t| s == 0 && t == tag + 1);
-            self.build_split_comm(&m.payload, color)
-        }
-    }
-
-    fn now(&self) -> f64 {
-        self.ctx.elapsed()
-    }
-
-    /// The real clock advances by itself.
-    fn advance_to(&self, _t: f64) {}
-
-    /// The modeled duration is ignored: the kernel already ran in this
-    /// process, so the *measured* time since the last attribution point
-    /// is what gets charged (same substitution as `comm_native`).
-    fn compute(&self, _seconds: f64, cat: Category) {
-        let dt = self.charge(cat);
-        let t1 = self.ctx.last_stamp.get();
-        self.ctx
-            .flight
-            .borrow_mut()
-            .record(TraceEvent::compute(t1 - dt, t1, cat));
-    }
-
-    fn account(&self, _seconds: f64, cat: Category) {
-        let dt = self.charge(cat);
-        let t1 = self.ctx.last_stamp.get();
-        self.ctx
-            .flight
-            .borrow_mut()
-            .record(TraceEvent::compute(t1 - dt, t1, cat));
-    }
-
-    fn time_snapshot(&self) -> [f64; simgrid::N_CATEGORIES] {
-        self.ctx.stats.borrow().time
-    }
-
-    fn send_shared(&self, dst: usize, tag: u64, payload: &Payload, cat: Category) {
-        self.charge(cat);
-        self.send_to(dst, tag, payload, cat, true);
-    }
-
-    /// The modeled departure and wire times belong to the simulator's
-    /// clock domain; here the put is an immediate framed write. Not
-    /// subject to any ordering rule (NVSHMEM-style), which the per-pair
-    /// socket FIFO already satisfies.
-    fn send_timed_shared(
-        &self,
-        _depart: f64,
-        _wire: f64,
-        dst: usize,
-        tag: u64,
-        payload: &Payload,
-        cat: Category,
-    ) {
-        self.send_to(dst, tag, payload, cat, true);
-    }
-
-    fn recv(&self, src: Option<usize>, tag: Option<u64>, cat: Category) -> RecvMsg {
-        let msg = self.recv_matching(|s, t| {
-            src.is_none_or(|want| s == want) && tag.is_none_or(|want| t == want)
-        });
-        self.charge_recv(&msg, cat);
-        msg
-    }
-
-    fn recv_tag_masked(&self, mask: u64, value: u64, cat: Category) -> RecvMsg {
-        let msg = self.recv_matching(|_, t| t & mask == value);
-        self.charge_recv(&msg, cat);
-        msg
-    }
-
-    fn recv_raw_tag_masked(&self, mask: u64, value: u64) -> RecvMsg {
-        self.recv_matching(|_, t| t & mask == value)
-    }
-
-    fn barrier(&self, cat: Category) {
-        let mut token = [0.0f64];
-        let tag = self.coll_tag();
-        simgrid::collectives::reduce_bcast(self, tag, &mut token, cat);
-    }
-
-    fn allreduce_sum(&self, data: &mut [f64], cat: Category) {
-        let tag = self.coll_tag();
-        simgrid::collectives::reduce_bcast(self, tag, data, cat);
-    }
-
-    fn bcast(&self, root: usize, data: &mut [f64], cat: Category) {
-        let tag = self.coll_tag();
-        simgrid::collectives::bcast_from(self, root, tag, data, cat);
-    }
-
-    fn metric_inc(&self, name: &str, by: u64) {
-        self.ctx.metrics.borrow_mut().inc(name, by);
-    }
-
-    fn metric_observe(&self, name: &str, bounds: &[f64], v: f64) {
-        self.ctx.metrics.borrow_mut().observe(name, bounds, v);
-    }
-}
+/// Handle to a communicator from one rank process.
+pub type ProcComm = RealComm<ProcLink>;
 
 /// Options for a process-per-rank cluster run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ProcOptions {
-    /// Real-time cap on a blocking receive before the rank's watchdog
-    /// panics (exiting the process with status 101) instead of hanging.
-    /// `None` disables the watchdog.
-    pub stall_timeout: Option<Duration>,
-    /// Capacity of each rank's always-on flight recorder. 0 disables it.
-    pub flight_capacity: usize,
-    /// When set, a stalling rank dumps its flight ring to this path with
-    /// `.rank<r>` inserted before the extension.
-    pub flight_dump_path: Option<PathBuf>,
+    /// Watchdog and flight-dump settings of the rank runtime. A rank whose
+    /// watchdog fires exits with status 101; a stalling rank dumps only
+    /// its own flight ring, with `.rank<r>` inserted before the extension.
+    pub runtime: RealOptions,
     /// Directory to create the per-run rendezvous directory in. Defaults
     /// to `$SPTRSV_PROC_DIR`, then the system temp dir.
     pub rendezvous_root: Option<PathBuf>,
-}
-
-impl Default for ProcOptions {
-    fn default() -> Self {
-        ProcOptions {
-            stall_timeout: Some(Duration::from_secs(30)),
-            flight_capacity: 512,
-            flight_dump_path: None,
-            rendezvous_root: None,
-        }
-    }
-}
-
-/// `<dir>/<stem>.rank<r>.<ext>` (or appended when the path has no
-/// extension): one flight-dump file per rank process.
-fn rank_dump_path(path: &Path, rank: usize) -> PathBuf {
-    match (path.file_stem(), path.extension()) {
-        (Some(stem), Some(ext)) => path.with_file_name(format!(
-            "{}.rank{rank}.{}",
-            stem.to_string_lossy(),
-            ext.to_string_lossy()
-        )),
-        _ => {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            path.with_file_name(format!("{name}.rank{rank}"))
-        }
-    }
 }
 
 /// Distinguishes concurrent runs from one parent process.
@@ -767,36 +229,30 @@ fn read_manifest(dir: &Path) -> (usize, Vec<PathBuf>) {
 /// Accept inbound connections on this rank's listener forever; one reader
 /// thread per connection decodes frames into the inbox. The threads die
 /// with the process (`_exit`), so nothing joins them.
-fn spawn_acceptor(listener: UnixListener, inbox: Arc<Inbox>, epoch: Instant) {
+fn spawn_acceptor(listener: UnixListener, me: Arc<Endpoint>, epoch: Instant) {
     std::thread::Builder::new()
         .name("proc-acceptor".into())
         .spawn(move || {
             for conn in listener.incoming() {
                 let Ok(conn) = conn else { break };
-                let inbox = Arc::clone(&inbox);
+                let me = Arc::clone(&me);
                 let _ = std::thread::Builder::new()
                     .name("proc-reader".into())
-                    .spawn(move || reader_loop(conn, inbox, epoch));
+                    .spawn(move || reader_loop(conn, &me, epoch));
             }
         })
         .expect("comm-proc: spawn acceptor thread");
 }
 
-fn reader_loop(mut conn: UnixStream, inbox: Arc<Inbox>, epoch: Instant) {
+/// The receive side of [`ProcLink`]: decode frames off one connection and
+/// push them, stamped with the decode time, into the rank's inbox.
+fn reader_loop(mut conn: UnixStream, me: &Endpoint, epoch: Instant) {
     let mut scratch = Vec::with_capacity(4096);
     loop {
         match wire::read_frame(&mut conn, &mut scratch) {
-            Ok((h, payload)) => {
-                let msg = InMsg {
-                    comm_id: h.comm_id,
-                    src: h.src,
-                    tag: h.tag,
-                    arrival: epoch.elapsed().as_secs_f64(),
-                    payload,
-                    seq: h.seq,
-                };
-                inbox.queue.lock().push_back(msg);
-                inbox.cv.notify_all();
+            Ok((header, payload)) => {
+                me.inbox()
+                    .push(header, payload, epoch.elapsed().as_secs_f64())
             }
             // Peer hung up on a frame boundary: normal shutdown.
             Err(WireError::Closed) => break,
@@ -817,9 +273,8 @@ fn run_child<F, R>(
     listener: &UnixListener,
     epoch: Instant,
     model: &MachineModel,
-    next_comm_id: CounterHandle,
     mut result: UnixStream,
-    opts: &ProcOptions,
+    opts: &RealOptions,
     f: &F,
 ) -> !
 where
@@ -829,51 +284,29 @@ where
     let blob = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let (nranks, peers) = read_manifest(dir);
         assert!(rank < nranks, "comm-proc: rank within manifest bounds");
-        let inbox = Arc::new(Inbox {
-            queue: Mutex::new(VecDeque::with_capacity(1024)),
-            cv: Condvar::new(),
-        });
+        let me = Arc::new(Endpoint::new());
         spawn_acceptor(
             listener.try_clone().expect("comm-proc: clone own listener"),
-            Arc::clone(&inbox),
+            Arc::clone(&me),
             epoch,
         );
-        let ctx = Rc::new(ChildCtx {
+        let link = ProcLink {
             world_rank: rank,
-            epoch,
-            model: model.clone(),
-            inbox,
             peers,
             conns: RefCell::new((0..nranks).map(|_| None).collect()),
             scratch: RefCell::new(Vec::with_capacity(4096)),
-            stats: RefCell::new(RankStats::new(rank)),
-            last_stamp: Cell::new(epoch.elapsed().as_secs_f64()),
-            coll_seq: RefCell::new(HashMap::new()),
-            metrics: RefCell::new(Metrics::new()),
-            sent_seq: Cell::new(0),
-            flight: RefCell::new(FlightRecorder::new(opts.flight_capacity)),
-            next_comm_id,
-            stall_timeout: opts.stall_timeout,
-            flight_dump_path: opts.flight_dump_path.clone(),
-        });
-        let world = ProcComm {
-            ctx: Rc::clone(&ctx),
-            id: 0,
-            members: Arc::new((0..nranks as u32).collect()),
-            my_idx: rank,
         };
-        let r = f(world);
-        let mut stats = ctx.stats.borrow().clone();
-        stats.final_clock = ctx.elapsed();
+        let model = Arc::new(model.clone());
+        let world = RealComm::world(rank, nranks, epoch, model, Arc::clone(&me), link, opts);
+        let r = f(world.clone());
+        let (stats, mut metrics) = world.finish();
         // Ship the pid as a per-rank counter: the conformance suite's
         // proof that ranks really ran in distinct OS processes.
-        ctx.metrics
-            .borrow_mut()
-            .inc(&format!("proc.pid.rank{rank}"), sys::pid() as u64);
+        metrics.inc(&format!("proc.pid.rank{rank}"), sys::pid() as u64);
         let mut blob = Vec::with_capacity(4096);
         stats.pack(&mut blob);
-        ctx.metrics.borrow().pack(&mut blob);
-        ctx.flight.borrow().drain().pack(&mut blob);
+        metrics.pack(&mut blob);
+        me.flight().pack(&mut blob);
         r.pack(&mut blob);
         blob
     }));
@@ -895,15 +328,16 @@ where
 
 /// Tracks forked rank pids; caches wait statuses so no pid is reaped
 /// twice.
+#[derive(Default)]
 struct Children {
     pids: Vec<i32>,
     statuses: Vec<Option<i32>>,
 }
 
 impl Children {
-    fn new(pids: Vec<i32>) -> Self {
-        let statuses = vec![None; pids.len()];
-        Children { pids, statuses }
+    fn push(&mut self, pid: i32) {
+        self.pids.push(pid);
+        self.statuses.push(None);
     }
 
     /// Non-blocking sweep; the first rank seen with a nonzero exit code.
@@ -1004,6 +438,75 @@ fn read_exact_polled(
     Ok(())
 }
 
+/// Set up the rendezvous directory and fork the rank processes, recording
+/// every forked pid in `kids` as it appears so that a failure part-way
+/// leaves the caller able to kill and reap exactly what exists. Returns
+/// the listeners (kept open until the run ends) and the parent ends of the
+/// result channels.
+fn launch<F, R>(
+    dir: &Path,
+    nranks: usize,
+    model: &MachineModel,
+    opts: &RealOptions,
+    f: &F,
+    kids: &mut Children,
+) -> Result<(Vec<UnixListener>, Vec<UnixStream>), String>
+where
+    F: Fn(ProcComm) -> R,
+    R: WirePack,
+{
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("comm-proc: create rendezvous dir {}: {e}", dir.display()))?;
+    // Every listener is bound before any child exists, so a lazy connect
+    // can never race the peer's bind.
+    let mut listeners = Vec::with_capacity(nranks);
+    let mut manifest = format!("{nranks}\n");
+    for rank in 0..nranks {
+        let path = dir.join(format!("rank{rank}.sock"));
+        let bound = UnixListener::bind(&path)
+            .map_err(|e| format!("comm-proc: bind {}: {e}", path.display()))?;
+        listeners.push(bound);
+        manifest.push_str(&path.to_string_lossy());
+        manifest.push('\n');
+    }
+    std::fs::write(dir.join("manifest.txt"), manifest)
+        .map_err(|e| format!("comm-proc: write manifest: {e}"))?;
+    let mut pairs = Vec::with_capacity(nranks);
+    for _ in 0..nranks {
+        pairs.push(UnixStream::pair().map_err(|e| format!("comm-proc: result socketpair: {e}"))?);
+    }
+    let epoch = Instant::now();
+    // Flush inherited stdio so no buffered bytes are duplicated into the
+    // children (children `_exit` and never flush, but they may print).
+    let _ = std::io::stdout().flush();
+    let _ = std::io::stderr().flush();
+    for (rank, pair) in pairs.iter().enumerate() {
+        match sys::fork_process() {
+            0 => {
+                let child_end = pair.1.try_clone().expect("comm-proc: clone result end");
+                run_child(
+                    rank,
+                    dir,
+                    &listeners[rank],
+                    epoch,
+                    model,
+                    child_end,
+                    opts,
+                    f,
+                );
+            }
+            pid if pid > 0 => kids.push(pid),
+            e => return Err(format!("comm-proc: fork of rank {rank} failed ({e})")),
+        }
+    }
+    // Parent keeps only its ends; the child ends close with the children.
+    let parents = pairs
+        .into_iter()
+        .map(|(parent_end, _)| parent_end)
+        .collect();
+    Ok((listeners, parents))
+}
+
 /// Run `f` on `nranks` rank **processes** and collect per-rank results
 /// and statistics. The returned report has the same shape as the other
 /// backends': `makespan` is the real wall-clock of the slowest rank,
@@ -1021,64 +524,11 @@ where
 {
     assert!(nranks > 0);
     let dir = rendezvous_dir(opts);
-    std::fs::create_dir_all(&dir).expect("comm-proc: create rendezvous dir");
-    let peers: Vec<PathBuf> = (0..nranks)
-        .map(|r| dir.join(format!("rank{r}.sock")))
-        .collect();
-    // Every listener is bound before any child exists, so a lazy connect
-    // can never race the peer's bind.
-    let listeners: Vec<UnixListener> = peers
-        .iter()
-        .map(|p| {
-            UnixListener::bind(p).unwrap_or_else(|e| panic!("comm-proc: bind {}: {e}", p.display()))
-        })
-        .collect();
-    let mut manifest = format!("{nranks}\n");
-    for p in &peers {
-        manifest.push_str(&p.to_string_lossy());
-        manifest.push('\n');
-    }
-    std::fs::write(dir.join("manifest.txt"), manifest).expect("comm-proc: write manifest");
-    let pairs: Vec<(UnixStream, UnixStream)> = (0..nranks)
-        .map(|_| UnixStream::pair().expect("comm-proc: result socketpair"))
-        .collect();
-    let counter = SharedCounter::new(1);
-    let epoch = Instant::now();
-    // Flush inherited stdio so no buffered bytes are duplicated into the
-    // children (children `_exit` and never flush, but they may print).
-    let _ = std::io::stdout().flush();
-    let _ = std::io::stderr().flush();
-    let mut pids = Vec::with_capacity(nranks);
-    for (rank, pair) in pairs.iter().enumerate() {
-        match sys::fork_process() {
-            0 => {
-                let child_end = pair.1.try_clone().expect("comm-proc: clone result end");
-                run_child(
-                    rank,
-                    &dir,
-                    &listeners[rank],
-                    epoch,
-                    &model,
-                    counter.handle(),
-                    child_end,
-                    opts,
-                    &f,
-                );
-            }
-            pid if pid > 0 => pids.push(pid),
-            e => panic!("comm-proc: fork failed ({e})"),
-        }
-    }
-    let mut kids = Children::new(pids);
-    // Parent keeps only its ends; the child ends close with the children.
-    let mut parents: Vec<UnixStream> = pairs
-        .into_iter()
-        .map(|(parent_end, child_end)| {
-            drop(child_end);
-            parent_end
-        })
-        .collect();
+    let mut kids = Children::default();
+    let (listeners, mut parents) = launch(&dir, nranks, &model, &opts.runtime, &f, &mut kids)
+        .unwrap_or_else(|why| fail_run(&dir, &mut kids, why));
     let deadline = opts
+        .runtime
         .stall_timeout
         .map(|t| Instant::now() + t + Duration::from_secs(15));
     let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(nranks);
@@ -1118,7 +568,6 @@ where
     }
     let _ = std::fs::remove_dir_all(&dir);
     drop(listeners);
-    drop(counter);
 
     let mut stats = Vec::with_capacity(nranks);
     let mut results = Vec::with_capacity(nranks);
@@ -1147,140 +596,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simgrid::{Category, EventKind, Transport};
 
     fn toy_model() -> MachineModel {
         MachineModel::uniform("toy", 1e9, 1e-6, 1e9, 4)
     }
 
-    #[test]
-    fn ping_pong_delivers_payloads() {
-        let rep = run(2, toy_model(), &ProcOptions::default(), |c| {
-            if c.rank() == 0 {
-                Transport::send(&c, 1, 7, &[1.0, 2.0], Category::XyComm);
-                let m = Transport::recv(&c, Some(1), Some(8), Category::XyComm);
-                assert_eq!(&m.payload[..], &[3.0]);
-            } else {
-                let m = Transport::recv(&c, Some(0), Some(7), Category::XyComm);
-                assert_eq!(&m.payload[..], &[1.0, 2.0]);
-                Transport::send(&c, 0, 8, &[3.0], Category::XyComm);
-            }
-            c.now()
-        });
-        assert!(rep.makespan > 0.0, "real time passed");
-        assert_eq!(rep.metrics.counter("msgs.received"), 2);
-    }
-
-    #[test]
-    fn fifo_non_overtaking_per_source() {
-        let rep = run(2, toy_model(), &ProcOptions::default(), |c| {
-            if c.rank() == 0 {
-                Transport::send(&c, 1, 5, &[1.0], Category::XyComm);
-                Transport::send(&c, 1, 5, &[2.0], Category::XyComm);
-                Transport::send(&c, 1, 5, &[3.0], Category::XyComm);
-                Vec::new()
-            } else {
-                (0..3)
-                    .map(|_| Transport::recv(&c, Some(0), Some(5), Category::XyComm).payload[0])
-                    .collect::<Vec<f64>>()
-            }
-        });
-        assert_eq!(rep.results[1], vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn tag_masked_receives_leave_other_phases_queued() {
-        let rep = run(2, toy_model(), &ProcOptions::default(), |c| {
-            if c.rank() == 0 {
-                // Epoch 1 message sent *before* the epoch 0 message.
-                Transport::send(&c, 1, (1 << 48) | 7, &[10.0], Category::XyComm);
-                Transport::send(&c, 1, 7, &[1.0], Category::XyComm);
-                (0.0, 0.0)
-            } else {
-                let mask = !((1u64 << 48) - 1);
-                let e0 = c.recv_tag_masked(mask, 0, Category::XyComm).payload[0];
-                let e1 = c.recv_tag_masked(mask, 1 << 48, Category::XyComm).payload[0];
-                (e0, e1)
-            }
-        });
-        assert_eq!(rep.results[1], (1.0, 10.0));
-    }
-
-    /// The reduction order is pinned to the simulator's: allreduce
-    /// results must be bit-identical even though every contribution
-    /// crossed a process boundary as a wire frame.
-    #[test]
-    fn allreduce_bits_match_the_simulator() {
-        for p in [1usize, 2, 3, 4, 7, 8] {
-            // Values chosen so summation order matters in f64.
-            let contrib = |r: usize| vec![1.0 + 1e-16 * r as f64, (r as f64 + 0.1).ln(), 3e300];
-            let proc = run(p, toy_model(), &ProcOptions::default(), move |c| {
-                let mut v = contrib(c.rank());
-                c.allreduce_sum(&mut v, Category::ZComm);
-                v
-            });
-            let sim = simgrid::run(
-                p,
-                toy_model(),
-                &simgrid::ClusterOptions::default(),
-                move |c| {
-                    let mut v = contrib(c.rank());
-                    c.allreduce_sum(&mut v, Category::ZComm);
-                    v
-                },
-            );
-            for r in 0..p {
-                let got: Vec<u64> = proc.results[r].iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u64> = sim.results[r].iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "rank {r} of {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_creates_disjoint_comms() {
-        let rep = run(6, toy_model(), &ProcOptions::default(), |c| {
-            let color = c.rank() % 2;
-            let sub = c.split(color, c.rank());
-            let mut v = [c.rank() as f64];
-            sub.allreduce_sum(&mut v, Category::ZComm);
-            (sub.rank() as u64, sub.size() as u64, v[0])
-        });
-        for wr in 0..6 {
-            let (sr, ss, sum) = rep.results[wr];
-            assert_eq!(ss, 3);
-            assert_eq!(sr as usize, wr / 2);
-            assert_eq!(sum, if wr % 2 == 0 { 6.0 } else { 9.0 });
-        }
-    }
-
-    #[test]
-    fn bcast_from_nonzero_root() {
-        let rep = run(5, toy_model(), &ProcOptions::default(), |c| {
-            let mut v = if c.rank() == 3 { [42.0] } else { [0.0] };
-            c.bcast(3, &mut v, Category::XyComm);
-            v[0]
-        });
-        assert!(rep.results.iter().all(|&v| v == 42.0));
-    }
-
-    #[test]
-    fn category_times_tile_the_rank_runtime() {
-        let rep = run(2, toy_model(), &ProcOptions::default(), |c| {
-            if c.rank() == 0 {
-                std::thread::sleep(Duration::from_millis(20));
-                c.compute(0.0, Category::Flop); // charges the real 20ms
-                Transport::send(&c, 1, 1, &[1.0], Category::XyComm);
-            } else {
-                Transport::recv(&c, Some(0), Some(1), Category::ZComm);
-            }
-        });
-        let flop = rep.stats[0].time[Category::Flop as usize];
-        assert!(flop >= 0.015, "measured compute time charged: {flop}");
-        // Rank 1 blocked on the receive for ~as long; charged to ZComm.
-        let z = rep.stats[1].time[Category::ZComm as usize];
-        assert!(z >= 0.015, "blocked receive time charged: {z}");
-        assert!(rep.makespan >= 0.015);
-    }
+    /// Held by every test that panics on purpose. A rank forked while
+    /// another test thread is printing a panic message inherits std's
+    /// panic-output lock held, and would hang in its own watchdog panic
+    /// instead of exiting — so deliberate panics run one test at a time.
+    static ONE_PANIC_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// The flight recorders cross the process boundary in the result
     /// blobs and still pair sends to receives by sequence id.
@@ -1329,53 +655,16 @@ mod tests {
         assert_eq!(pids.len(), 4, "every rank ran in its own process");
     }
 
-    #[test]
-    fn stall_watchdog_dumps_flight_recorder_per_rank() {
-        let dump = std::env::temp_dir().join("comm_proc_stall_flight_test.json");
-        let rank0_dump = std::env::temp_dir().join("comm_proc_stall_flight_test.rank0.json");
-        let _ = std::fs::remove_file(&dump);
-        let _ = std::fs::remove_file(&rank0_dump);
-        let opts = ProcOptions {
-            stall_timeout: Some(Duration::from_millis(200)),
-            flight_dump_path: Some(dump.clone()),
-            ..ProcOptions::default()
-        };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(2, toy_model(), &opts, |c| {
-                // Real traffic first so the stalling rank holds spans.
-                let mut v = [c.rank() as f64];
-                c.allreduce_sum(&mut v, Category::ZComm);
-                if c.rank() == 0 {
-                    // Never satisfied: the watchdog fires and dumps.
-                    Transport::recv(&c, Some(1), Some(99), Category::XyComm);
-                }
-            });
-        }))
-        .expect_err("stalled run must panic in the parent");
-        drop(err);
-        let json =
-            std::fs::read_to_string(&rank0_dump).expect("rank 0 wrote its flight dump on stall");
-        let v: serde_json::Value = serde_json::from_str(&json).expect("dump is valid JSON");
-        let events = match v.get("traceEvents") {
-            Some(serde_json::Value::Array(a)) => a,
-            other => panic!("traceEvents missing: {other:?}"),
-        };
-        assert!(
-            events.iter().any(|e| {
-                e.get("ph") == Some(&serde_json::Value::Str("X".into()))
-                    && e.get("tid") == Some(&serde_json::Value::Int(0))
-            }),
-            "rank 0 has no spans in its stall dump"
-        );
-        let _ = std::fs::remove_file(&rank0_dump);
-    }
-
     /// A stalling (or panicking) rank surfaces as a parent panic naming
     /// the rank and its exit status instead of hanging the run.
     #[test]
     fn watchdog_failure_surfaces_as_nonzero_exit() {
+        let _serial = ONE_PANIC_AT_A_TIME.lock().expect("no holder panics");
         let opts = ProcOptions {
-            stall_timeout: Some(Duration::from_millis(200)),
+            runtime: RealOptions {
+                stall_timeout: Some(Duration::from_millis(200)),
+                ..RealOptions::default()
+            },
             ..ProcOptions::default()
         };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1397,5 +686,31 @@ mod tests {
             "diagnostic missing: {msg}"
         );
         assert!(msg.contains("rank 0"), "diagnostic missing: {msg}");
+    }
+
+    /// A set-up failure goes through the same kill-reap-remove path as a
+    /// failed run: the panic names what failed and nothing is left behind.
+    #[test]
+    fn failed_launch_leaves_no_rendezvous_dir() {
+        let _serial = ONE_PANIC_AT_A_TIME.lock().expect("no holder panics");
+        // A socket path must fit `sun_path` (108 bytes); this root makes
+        // `rank0.sock` too long to bind, after the directory was created.
+        let root = std::env::temp_dir().join(format!("comm-proc-{}", "x".repeat(120)));
+        let opts = ProcOptions {
+            rendezvous_root: Some(root.clone()),
+            ..ProcOptions::default()
+        };
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(2, toy_model(), &opts, |c| c.barrier(Category::Setup));
+        }))
+        .expect_err("an unbindable socket path must fail the launch");
+        let left: Vec<_> = std::fs::read_dir(&root)
+            .expect("the root itself was created")
+            .map(|e| e.expect("readable entry").file_name())
+            .collect();
+        let _ = std::fs::remove_dir_all(&root);
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("comm-proc: bind"), "diagnostic missing: {msg}");
+        assert!(left.is_empty(), "rendezvous entries left behind: {left:?}");
     }
 }

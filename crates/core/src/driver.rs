@@ -338,6 +338,24 @@ fn rank_program<T: Transport>(
     }
 }
 
+/// Runtime options of a solve on a real-clock backend, after checking that
+/// the configuration asks for nothing sim-private.
+fn real_options(
+    cfg: &SolverConfig,
+    trace: bool,
+    flight_dump_path: Option<std::path::PathBuf>,
+) -> simgrid::RealOptions {
+    assert!(
+        cfg.fault.is_inert() && cfg.chaos_seed == 0,
+        "fault injection is sim-private: run faults on Backend::Sim"
+    );
+    assert!(!trace, "span tracing is sim-private: trace on Backend::Sim");
+    simgrid::RealOptions {
+        flight_dump_path,
+        ..Default::default()
+    }
+}
+
 /// Like [`solve_planned`], optionally recording per-rank event timelines
 /// (`SolveOutcome::traces`; render with [`simgrid::render_timeline`]).
 /// Tracing is sim-private: `trace = true` requires [`Backend::Sim`].
@@ -363,14 +381,15 @@ pub fn solve_traced(plan: &Arc<Plan>, b: &[f64], cfg: &SolverConfig, trace: bool
             pb[r * n + i] = b[r * n + fact.nd.perm[i]];
         }
     }
-    let pb = Arc::new(pb);
 
-    let algorithm = cfg.algorithm;
-    let arch = cfg.arch;
-    let executor = cfg.executor;
-    // Opt-in stall forensics: when set, a stall watchdog drains every
-    // rank's flight recorder into a Perfetto trace at this path before
-    // panicking (both backends).
+    // One rank program on every backend; the arms below differ only in
+    // which `run` carries it.
+    let (algorithm, arch, executor) = (cfg.algorithm, cfg.arch, cfg.executor);
+    let nranks = plan.nranks();
+    let machine = cfg.machine.clone();
+    // Opt-in stall forensics: when set, a stall watchdog drains the flight
+    // recorders it can see into a Perfetto trace at this path before
+    // panicking (every backend).
     let flight_dump = std::env::var_os("SPTRSV_FLIGHT_DUMP").map(std::path::PathBuf::from);
     let report = match cfg.backend {
         Backend::Sim => {
@@ -381,46 +400,27 @@ pub fn solve_traced(plan: &Arc<Plan>, b: &[f64], cfg: &SolverConfig, trace: bool
                 flight_dump_path: flight_dump,
                 ..ClusterOptions::default()
             };
-            let plan2 = Arc::clone(plan);
-            let pb2 = Arc::clone(&pb);
-            simgrid::run(plan.nranks(), cfg.machine.clone(), &opts, move |world| {
-                rank_program(&plan2, algorithm, arch, executor, &pb2, nrhs, world)
+            simgrid::run(nranks, machine, &opts, |world| {
+                rank_program(plan, algorithm, arch, executor, &pb, nrhs, world)
             })
         }
         Backend::Native => {
-            assert!(
-                cfg.fault.is_inert() && cfg.chaos_seed == 0,
-                "fault injection is sim-private: run faults on Backend::Sim"
-            );
-            assert!(!trace, "span tracing is sim-private: trace on Backend::Sim");
-            let opts = comm_native::NativeOptions {
-                flight_dump_path: flight_dump,
-                ..comm_native::NativeOptions::default()
-            };
-            let plan2 = Arc::clone(plan);
-            let pb2 = Arc::clone(&pb);
-            comm_native::run(plan.nranks(), cfg.machine.clone(), &opts, move |world| {
-                rank_program(&plan2, algorithm, arch, executor, &pb2, nrhs, world)
+            let opts = real_options(cfg, trace, flight_dump);
+            comm_native::run(nranks, machine, &opts, |world| {
+                rank_program(plan, algorithm, arch, executor, &pb, nrhs, world)
             })
         }
+        // The rank programs run in forked children; the plan, the permuted
+        // RHS, and the compiled schedule (warmed above) are inherited
+        // copy-on-write, and each rank's `RankOutput` returns over the
+        // wire via its `WirePack` encoding.
         Backend::Proc => {
-            assert!(
-                cfg.fault.is_inert() && cfg.chaos_seed == 0,
-                "fault injection is sim-private: run faults on Backend::Sim"
-            );
-            assert!(!trace, "span tracing is sim-private: trace on Backend::Sim");
             let opts = comm_proc::ProcOptions {
-                flight_dump_path: flight_dump,
-                ..comm_proc::ProcOptions::default()
+                runtime: real_options(cfg, trace, flight_dump),
+                ..Default::default()
             };
-            let plan2 = Arc::clone(plan);
-            let pb2 = Arc::clone(&pb);
-            // The rank programs run in forked children; the plan, the
-            // permuted RHS, and the compiled schedule (warmed above) are
-            // inherited copy-on-write, and each rank's `RankOutput`
-            // returns over the wire via its `WirePack` encoding.
-            comm_proc::run(plan.nranks(), cfg.machine.clone(), &opts, move |world| {
-                rank_program(&plan2, algorithm, arch, executor, &pb2, nrhs, world)
+            comm_proc::run(nranks, machine, &opts, |world| {
+                rank_program(plan, algorithm, arch, executor, &pb, nrhs, world)
             })
         }
     };

@@ -522,7 +522,7 @@ struct GpuEngine<'a, 'b, T: Transport> {
 
 impl<T: Transport> GpuEngine<'_, '_, T> {
     fn put(&self, depart: f64, dst: usize, t: u64, payload: &Arc<[f64]>) {
-        let bytes = 8 * payload.len() + 64;
+        let bytes = simgrid::envelope_bytes(payload.len());
         let dst_world = self.comm.world_rank(dst);
         let (lat, wire) = self.gpu.put_cost(self.me_world, dst_world, bytes);
         self.comm

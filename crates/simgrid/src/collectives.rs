@@ -1,21 +1,126 @@
-//! The one binomial collective shape every backend reduces in.
+//! The collective protocols every backend shares: one binomial shape, one
+//! tag-sequencing scheme, one `split`.
 //!
 //! Bit-identical solutions across transports rest on the collectives
 //! having a *fixed floating-point reduction order*: the binomial tree
 //! decides who sums whose contribution and in which sequence, not message
-//! arrival. That shape used to be duplicated — once in the simulator, once
-//! in `comm_native` — with a comment promising they matched. Now there is
-//! exactly one copy, generic over [`Transport`], and the simulator, the
-//! threaded backend, and the process backend all call it; a backend cannot
-//! drift out of the shape without every conformance suite failing.
+//! arrival. There is exactly one copy of that shape, generic over
+//! [`Transport`]; the simulator and the real-clock runtime both call it, so
+//! a backend cannot drift out of the shape without every conformance suite
+//! failing.
 //!
-//! Tag sequencing stays per-backend: callers allocate a fresh collective
-//! tag block (their `coll_tag` scheme) and pass it in, which is what keeps
-//! successive collectives on one communicator from confusing each other's
-//! messages even under duplicated or delayed deliveries.
+//! Tag sequencing and communicator splitting live here for the same
+//! reason. [`coll_tag`] hands every collective call a fresh tag block —
+//! which is what keeps successive collectives on one communicator from
+//! confusing each other's messages even under duplicated or delayed
+//! deliveries — and [`split`] is the one `MPI_Comm_split` protocol; a
+//! backend supplies only its untimed setup send and receive.
 
 use crate::stats::Category;
-use crate::transport::Transport;
+use crate::transport::{Payload, Transport};
+use crate::RecvMsg;
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+/// Tags at or above this value are reserved for collectives.
+pub const COLLECTIVE_TAG_BASE: u64 = 1 << 60;
+
+/// Base tag for the next collective on communicator `comm_id`, from the
+/// calling rank's per-communicator sequence numbers. Each collective call
+/// gets a fresh block of four tags, so a duplicated delivery from an
+/// earlier collective can never be consumed by a later one; members agree
+/// because collectives are called in program order.
+pub(crate) fn coll_tag(seqs: &RefCell<HashMap<u64, u64>>, comm_id: u64) -> u64 {
+    let mut seqs = seqs.borrow_mut();
+    let seq = seqs.entry(comm_id).or_insert(0);
+    *seq += 1;
+    // seq * 4 >= 4 keeps clear of the fixed split tags (BASE+1, BASE+2).
+    COLLECTIVE_TAG_BASE + *seq * 4
+}
+
+/// One rank's view of a subcommunicator produced by [`split`].
+pub(crate) struct SplitGroup {
+    /// Id of the new communicator.
+    pub id: u64,
+    /// World ranks of its members, ordered by `(key, parent rank)`.
+    pub members: Vec<u32>,
+    /// The calling rank's rank within it.
+    pub my_idx: usize,
+}
+
+/// `MPI_Comm_split` of the communicator with world-rank list `parent`, as
+/// seen by its rank `me`. Members must agree on the new ids without any
+/// shared ordering, so parent rank 0 gathers every `(color, key)`, takes a
+/// block of `parent.len()` ids from `alloc_ids` and sends everyone the
+/// full decision list, from which each member reconstructs its own group.
+///
+/// `send(dst, tag, payload)` and `recv(src, tag)` are the backend's untimed
+/// setup operations on the *parent* communicator. All members must call
+/// collectively and in the same program order.
+pub(crate) fn split(
+    parent: &[u32],
+    me: usize,
+    color: usize,
+    key: usize,
+    send: impl Fn(usize, u64, &Payload),
+    recv: impl Fn(Option<usize>, u64) -> RecvMsg,
+    alloc_ids: impl FnOnce(u64) -> u64,
+) -> SplitGroup {
+    let size = parent.len();
+    let tag = COLLECTIVE_TAG_BASE + 1;
+    if me != 0 {
+        send(0, tag, &Payload::from([color as f64, key as f64]));
+        return build_split_group(parent, me, &recv(Some(0), tag + 1).payload, color);
+    }
+    let base = alloc_ids(size as u64);
+    // The decisions travel as f64 words; the id must survive the trip.
+    assert!(base + (size as u64) < 1 << 53, "communicator id overflow");
+    let mut flat = Vec::with_capacity(3 * size + 1);
+    flat.extend([base as f64, color as f64, key as f64, 0.0]);
+    for _ in 1..size {
+        let m = recv(None, tag);
+        flat.extend([m.payload[0], m.payload[1], m.src as f64]);
+    }
+    let flat: Payload = flat.into();
+    for dst in 1..size {
+        send(dst, tag + 1, &flat);
+    }
+    build_split_group(parent, me, &flat, color)
+}
+
+/// Reconstruct the caller's group from the root's decision list
+/// `[base, (color, key, parent rank)...]`: the group's id is `base` plus
+/// the index of its color among the sorted distinct colors.
+fn build_split_group(parent: &[u32], me: usize, flat: &[f64], my_color: usize) -> SplitGroup {
+    let base = flat[0] as u64;
+    let mut group: Vec<(usize, usize)> = Vec::new(); // (key, parent rank)
+    let mut colors_seen: Vec<usize> = Vec::new();
+    for chunk in flat[1..].chunks(3) {
+        let (c, k, r) = (chunk[0] as usize, chunk[1] as usize, chunk[2] as usize);
+        if !colors_seen.contains(&c) {
+            colors_seen.push(c);
+        }
+        if c == my_color {
+            group.push((k, r));
+        }
+    }
+    colors_seen.sort_unstable();
+    let color_idx = colors_seen
+        .iter()
+        .position(|&c| c == my_color)
+        .expect("own color present");
+    group.sort_unstable();
+    let members: Vec<u32> = group.iter().map(|&(_, pr)| parent[pr]).collect();
+    let my_idx = members
+        .iter()
+        .position(|&w| w == parent[me])
+        .expect("self in group");
+    SplitGroup {
+        id: base + color_idx as u64,
+        members,
+        my_idx,
+    }
+}
 
 /// Binomial reduce-to-rank-0 (sum) followed by a binomial broadcast back
 /// down the same tree: the shared body of `allreduce_sum` and `barrier`.

@@ -278,6 +278,22 @@ impl FlightRecorder {
     }
 }
 
+/// Write `timelines` (indexed by world rank) as a Perfetto trace at `path`
+/// — the stall watchdog's flight dump. Best effort: it runs right before
+/// the watchdog panics, so failures are reported, not raised.
+pub(crate) fn dump_flight(who: &str, path: &std::path::Path, timelines: &[Vec<TraceEvent>]) {
+    match std::fs::write(path, export_perfetto(timelines, 0)) {
+        Ok(()) => eprintln!(
+            "{who} watchdog: flight recorder dumped to {}",
+            path.display()
+        ),
+        Err(e) => eprintln!(
+            "{who} watchdog: failed to write flight dump {}: {e}",
+            path.display()
+        ),
+    }
+}
+
 /// Render per-rank timelines as an ASCII Gantt chart of `width` columns.
 /// `timelines[r]` is rank r's event list; `makespan` scales the time axis.
 /// Glyphs: `#` compute, `>` send, `.` recv/wait, (space) idle.

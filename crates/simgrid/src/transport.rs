@@ -66,6 +66,17 @@ use std::sync::Arc;
 /// side; that frame is the single point where zero-copy ends.
 pub type Payload = Arc<[f64]>;
 
+/// Accounted size in bytes of a message carrying `words` payload words:
+/// the payload plus a fixed 64-byte envelope. This is the *nominal* size
+/// every backend charges to `stats.bytes_sent`, the `msgs.bytes` histogram
+/// and the machine model, so traffic statistics are bit-equal across
+/// backends; it is not what a link physically moves (the process backend's
+/// wire frame is `56 + 8·words` bytes, a refcount bump moves none).
+#[inline]
+pub fn envelope_bytes(words: usize) -> usize {
+    8 * words + 64
+}
+
 /// A communicator handle of one rank on some message-passing backend.
 ///
 /// Cloning semantics follow `MPI_Comm`: [`split`](Transport::split) is

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification gate: build, tests, formatting, lints.
+# Full verification gate: build, tests, benchmark package, formatting, lints.
 # Run from anywhere; operates on the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +12,13 @@ cargo test -q --workspace
 
 echo "== cargo bench --no-run =="
 cargo bench --no-run --workspace
+
+# The layered benchmark is a workspace of its own (own Cargo.lock), so
+# nothing above compiles it: a signature change in a crate would otherwise
+# first be noticed by the bench pipeline.
+echo "== examples/benchmark: locked build + self-test =="
+cargo build --release --offline --locked --manifest-path examples/benchmark/Cargo.toml
+cargo run --release --offline --locked --quiet --manifest-path examples/benchmark/Cargo.toml -- --self-test
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
