@@ -368,7 +368,6 @@ pub fn naive_allreduce<T: Transport>(
     plan: &Plan,
     zcomm: &T,
     naive: &[NaiveNode],
-    z: usize,
     nrhs: usize,
     y_vals: &mut HashMap<u32, Vec<f64>>,
 ) {
@@ -390,16 +389,18 @@ pub fn naive_allreduce<T: Transport>(
 
     // All grids of a subtree call in the same order (root first).
     for nn in naive {
-        // The split is collective over `zcomm` (every grid splits once per
-        // path level), so it must run even for elided nodes; only the
-        // collective itself is skipped — in lockstep, since the trimmed
-        // list is identical on every member of the node's group.
-        let sub = zcomm.split(nn.node as usize, z);
-        debug_assert_eq!(sub.size(), plan.n_grids_of(nn.node as usize));
+        // The trimmed list is identical on every grid replicating the
+        // node, so they all skip it or all reduce it.
         if nn.sups.is_empty() && plan.trim() == ZTrim::Live {
             zcomm.metric_inc("comm.z.bytes_saved", 8 * nn.dense_doubles * nrhs as u64);
             continue;
         }
+        // The grids replicating a node are consecutive, and a rank of
+        // `zcomm` is its grid index.
+        let node = nn.node as usize;
+        let first = plan.min_z(node);
+        let grids: Vec<usize> = (first..first + plan.n_grids_of(node)).collect();
+        let sub = zcomm.subgroup(&grids, node);
         pack_into(plan, &nn.sups, y_vals, nrhs, &mut buf);
         note_sent(zcomm, nn.dense_doubles, nrhs, buf.len());
         sub.set_span_detail(Some(SpanDetail::NaiveAllreduce { node: nn.node }));
@@ -442,8 +443,7 @@ mod tests {
                 let plan = &plan2;
                 let (x, y, z) = plan.coords(world.rank());
                 let rs = &sched.ranks[plan.rank_of(x, y, z)];
-                let _grid = world.split(z, x + plan.px * y);
-                let zcomm = world.split(x + plan.px * y, z);
+                let (_grid, zcomm) = plan.cart_comms(&world);
                 // Synthetic partials: supernode k contributes (k + z·1000)
                 // per entry on each grid live for it (dead replicas hold
                 // exact zeros in the real solver and are trimmed away).
@@ -457,7 +457,7 @@ mod tests {
                     }
                 }
                 if naive {
-                    naive_allreduce(plan, &zcomm, &rs.naive, z, nrhs, &mut y_vals);
+                    naive_allreduce(plan, &zcomm, &rs.naive, nrhs, &mut y_vals);
                 } else {
                     sparse_allreduce(plan, &zcomm, &rs.zsteps, nrhs, &mut y_vals);
                 }
@@ -575,8 +575,7 @@ mod tests {
                     let plan = &plan2;
                     let z = world.rank();
                     let rs = &sched.ranks[plan.rank_of(0, 0, z)];
-                    let _grid = world.split(z, 0);
-                    let zcomm = world.split(0, z);
+                    let (_grid, zcomm) = plan.cart_comms(&world);
                     let sym = plan.fact.lu.sym();
                     let mut y_vals: HashMap<u32, Vec<f64>> = HashMap::new();
                     for &k in &plan.grids[z].supers {
@@ -584,7 +583,7 @@ mod tests {
                         y_vals.insert(k, vec![1.0; w]);
                     }
                     if naive {
-                        naive_allreduce(plan, &zcomm, &rs.naive, z, nrhs, &mut y_vals);
+                        naive_allreduce(plan, &zcomm, &rs.naive, nrhs, &mut y_vals);
                     } else {
                         sparse_allreduce(plan, &zcomm, &rs.zsteps, nrhs, &mut y_vals);
                     }
@@ -626,8 +625,7 @@ mod tests {
                     let plan = &plan2;
                     let z = world.rank();
                     let rs = &sched.ranks[plan.rank_of(0, 0, z)];
-                    let _grid = world.split(z, 0);
-                    let zcomm = world.split(0, z);
+                    let (_grid, zcomm) = plan.cart_comms(&world);
                     let sym = plan.fact.lu.sym();
                     let mut y_vals: HashMap<u32, Vec<f64>> = HashMap::new();
                     for &k in &plan.grids[z].supers {

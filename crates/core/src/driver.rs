@@ -301,8 +301,7 @@ fn rank_program<T: Transport>(
     world: T,
 ) -> RankOutput {
     let (x, y, z) = plan.coords(world.rank());
-    let grid_comm = world.split(z, x + plan.px * y);
-    let zcomm = world.split(x + plan.px * y, z);
+    let (grid_comm, zcomm) = plan.cart_comms(&world);
     match (algorithm, arch) {
         (Algorithm::Baseline3d, Arch::Cpu) => {
             crate::baseline3d::run_rank(plan, &grid_comm, &zcomm, x, y, z, pb, nrhs, executor)

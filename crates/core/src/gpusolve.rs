@@ -126,7 +126,7 @@ pub fn run_rank<T: Transport>(
     // Inter-grid sparse allreduce runs over MPI on the host (paper: the
     // SparseAllReduce of Alg. 1 line 20 is implemented with MPI).
     if use_naive_allreduce {
-        allreduce::naive_allreduce(plan, zcomm, &rs.naive, z, nrhs, &mut y_vals);
+        allreduce::naive_allreduce(plan, zcomm, &rs.naive, nrhs, &mut y_vals);
     } else {
         allreduce::sparse_allreduce(plan, zcomm, &rs.zsteps, nrhs, &mut y_vals);
     }

@@ -96,7 +96,7 @@ pub fn run_rank<T: Transport>(
 
     // Inter-grid synchronization: the only one in the algorithm.
     if use_naive_allreduce {
-        naive_allreduce(plan, zcomm, &rs.naive, z, nrhs, &mut state.y_vals);
+        naive_allreduce(plan, zcomm, &rs.naive, nrhs, &mut state.y_vals);
     } else {
         sparse_allreduce(plan, zcomm, &rs.zsteps, nrhs, &mut state.y_vals);
     }

@@ -10,6 +10,7 @@
 use crate::schedule::{Schedule, ScheduleKey};
 use lufactor::Factorized;
 use ordering::nd::LayoutNode;
+use simgrid::Transport;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -260,6 +261,24 @@ impl Plan {
     /// World rank of coordinates `(x, y, z)`.
     pub fn rank_of(&self, x: usize, y: usize, z: usize) -> usize {
         x + self.px * (y + self.py * z)
+    }
+
+    /// The calling rank's grid and z communicators — the `MPI_Cart_sub`
+    /// pair every rank program starts from — built from the layout alone,
+    /// without a message: grid `z`'s ranks in `x + Px·y` order, and the
+    /// `Pz` ranks at `(x, y)` in `z` order. `world` must have
+    /// [`nranks`](Plan::nranks) ranks.
+    pub fn cart_comms<T: Transport>(&self, world: &T) -> (T, T) {
+        debug_assert_eq!(world.size(), self.nranks());
+        let (x, y, z) = self.coords(world.rank());
+        let grid: Vec<usize> = (0..self.py)
+            .flat_map(|gy| (0..self.px).map(move |gx| self.rank_of(gx, gy, z)))
+            .collect();
+        let column: Vec<usize> = (0..self.pz).map(|gz| self.rank_of(x, y, gz)).collect();
+        (
+            world.subgroup(&grid, z),
+            world.subgroup(&column, x + self.px * y),
+        )
     }
 
     /// Diagonal-owner process of supernode `k` within any 2D grid.

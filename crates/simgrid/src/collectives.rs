@@ -9,18 +9,21 @@
 //! a backend cannot drift out of the shape without every conformance suite
 //! failing.
 //!
-//! Tag sequencing and communicator splitting live here for the same
+//! Tag sequencing and communicator construction live here for the same
 //! reason. [`coll_tag`] hands every collective call a fresh tag block —
 //! which is what keeps successive collectives on one communicator from
 //! confusing each other's messages even under duplicated or delayed
-//! deliveries — and [`split`] is the one `MPI_Comm_split` protocol; a
-//! backend supplies only its untimed setup send and receive.
+//! deliveries — [`split`] is the one `MPI_Comm_split` protocol (a backend
+//! supplies only its untimed setup send and receive), and [`subgroup`] is
+//! the one constructor for groups whose membership every member already
+//! knows, which sends nothing.
 
+use crate::fault::mix64;
 use crate::stats::Category;
 use crate::transport::{Payload, Transport};
 use crate::RecvMsg;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Tags at or above this value are reserved for collectives.
 pub const COLLECTIVE_TAG_BASE: u64 = 1 << 60;
@@ -38,11 +41,12 @@ pub(crate) fn coll_tag(seqs: &RefCell<HashMap<u64, u64>>, comm_id: u64) -> u64 {
     COLLECTIVE_TAG_BASE + *seq * 4
 }
 
-/// One rank's view of a subcommunicator produced by [`split`].
+/// One rank's view of a subcommunicator produced by [`split`] or
+/// [`subgroup`].
 pub(crate) struct SplitGroup {
     /// Id of the new communicator.
     pub id: u64,
-    /// World ranks of its members, ordered by `(key, parent rank)`.
+    /// World ranks of its members, in new-rank order.
     pub members: Vec<u32>,
     /// The calling rank's rank within it.
     pub my_idx: usize,
@@ -117,6 +121,64 @@ fn build_split_group(parent: &[u32], me: usize, flat: &[f64], my_color: usize) -
         .expect("self in group");
     SplitGroup {
         id: base + color_idx as u64,
+        members,
+        my_idx,
+    }
+}
+
+/// Ids of communicators built by [`subgroup`] have this bit set; ids that
+/// [`split`] allocates (a world rank in bits 32.., below 2^53) and the world
+/// communicator's 0 never do, so the two families cannot meet.
+const SUBGROUP_ID_BIT: u64 = 1 << 63;
+
+/// What one rank remembers of the sub-communicators it built with
+/// [`subgroup`]: how many it has built on each parent, and every id it
+/// derived.
+#[derive(Default)]
+pub(crate) struct SubgroupIds {
+    calls: HashMap<u64, u64>,
+    issued: HashSet<u64>,
+}
+
+/// A subcommunicator of the communicator `parent_id` (world-rank list
+/// `parent`) built from what its rank `me` already knows, with no message:
+/// `ranks` lists the group's members as parent ranks in new-rank order and
+/// must contain `me`; every member passes the same `ranks` and `color`.
+///
+/// The id is a mix of `(parent_id, ordinal, color)`, where `ordinal` counts
+/// this rank's `subgroup` calls on the parent; members agree on it because
+/// they build their shared groups in the same program order. A message can
+/// only be misrouted between two communicators that one rank holds, so each
+/// rank checks every id it derives against those it derived before and
+/// panics on a clash instead of running on (odds 2^-63 per pair).
+pub(crate) fn subgroup(
+    parent_id: u64,
+    parent: &[u32],
+    me: usize,
+    ranks: &[usize],
+    color: usize,
+    ids: &RefCell<SubgroupIds>,
+) -> SplitGroup {
+    let my_idx = ranks
+        .iter()
+        .position(|&r| r == me)
+        .expect("subgroup: the calling rank is a member of its own group");
+    let members: Vec<u32> = ranks.iter().map(|&r| parent[r]).collect();
+    debug_assert!(
+        (1..members.len()).all(|i| !members[..i].contains(&members[i])),
+        "subgroup: duplicate member in {ranks:?}"
+    );
+    let ids = &mut *ids.borrow_mut();
+    let ordinal = ids.calls.entry(parent_id).or_insert(0);
+    *ordinal += 1;
+    let id = SUBGROUP_ID_BIT | mix64(mix64(mix64(parent_id) ^ *ordinal) ^ color as u64);
+    // No `(parent, ordinal)` repeats on a rank, so a repeated id is a clash.
+    assert!(
+        ids.issued.insert(id),
+        "subgroup: id {id:#x} (call {ordinal} on communicator {parent_id:#x}) is already in use on this rank"
+    );
+    SplitGroup {
+        id,
         members,
         my_idx,
     }

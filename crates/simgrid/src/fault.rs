@@ -185,13 +185,18 @@ impl FaultPlan {
             return 0;
         }
         // splitmix64 over (seed, rank) — decorrelates adjacent ranks.
-        let mut z = self
+        let z = self
             .seed
             .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(r as u64 + 1));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        (z ^ (z >> 31)) | 1
+        mix64(z) | 1
     }
+}
+
+/// The splitmix64 output function: a bijective scramble of `z`.
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

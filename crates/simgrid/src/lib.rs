@@ -157,6 +157,8 @@ struct RankCtx {
     /// [`rank_scoped_id`]).
     sent_seq: Cell<u64>,
     comm_seq: Cell<u64>,
+    /// Ids of the communicators this rank built without messages.
+    subgroup_ids: RefCell<collectives::SubgroupIds>,
 }
 
 impl RankCtx {
@@ -223,6 +225,11 @@ impl Comm {
     /// My rank within this communicator.
     pub fn rank(&self) -> usize {
         self.my_idx
+    }
+
+    /// Id of this communicator (0 is the world).
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Number of ranks in this communicator.
@@ -741,7 +748,7 @@ impl Comm {
         // The protocol is the shared one; the simulator's part is that its
         // setup messages consume no virtual time.
         let ctx = &self.ctx;
-        let group = collectives::split(
+        self.child(collectives::split(
             &self.members,
             self.my_idx,
             color,
@@ -749,10 +756,27 @@ impl Comm {
             |dst, tag, payload| self.send_setup(dst, tag, payload),
             |src, tag| self.recv_raw(src, Some(tag)),
             |n| rank_scoped_id(&ctx.comm_seq, ctx.world_rank, n),
-        );
+        ))
+    }
+
+    /// The subcommunicator of ranks `members` (in that order), built
+    /// without a message; see [`Transport::subgroup`].
+    pub fn subgroup(&self, members: &[usize], color: usize) -> Comm {
+        self.child(collectives::subgroup(
+            self.id,
+            &self.members,
+            self.my_idx,
+            members,
+            color,
+            &self.ctx.subgroup_ids,
+        ))
+    }
+
+    /// This rank's handle on the subcommunicator `group`.
+    fn child(&self, group: collectives::SplitGroup) -> Comm {
         Comm {
             shared: Arc::clone(&self.shared),
-            ctx: Rc::clone(ctx),
+            ctx: Rc::clone(&self.ctx),
             id: group.id,
             members: Arc::new(group.members),
             my_idx: group.my_idx,
@@ -915,6 +939,7 @@ where
                         metrics: RefCell::new(crate::metrics::Metrics::new()),
                         sent_seq: Cell::new(0),
                         comm_seq: Cell::new(0),
+                        subgroup_ids: RefCell::default(),
                     });
                     {
                         // Pre-create the standard per-message series so the

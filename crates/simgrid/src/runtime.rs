@@ -5,7 +5,7 @@
 //! deliver into, plus its flight ring) and a [`RealComm`] handle: arrival-
 //! ordered matching on `(comm, src, tag)` or a masked tag, elapsed-time
 //! category accounting, message sequence ids, flight recording, the stall
-//! watchdog, collective-tag sequencing, `split`, and the one
+//! watchdog, collective-tag sequencing, `split`/`subgroup`, and the one
 //! `impl Transport`. A backend supplies a [`Link`] — *deliver this
 //! `(header, payload)` to world rank `d`* — and a launcher that puts one
 //! rank program on each thread or process. `comm_native` and `comm_proc`
@@ -233,6 +233,8 @@ struct RankCtx<L> {
     /// [`rank_scoped_id`]).
     sent_seq: Cell<u64>,
     comm_seq: Cell<u64>,
+    /// Ids of the communicators this rank built without messages.
+    subgroup_ids: RefCell<collectives::SubgroupIds>,
 }
 
 impl<L> RankCtx<L> {
@@ -290,6 +292,7 @@ impl<L: Link> RealComm<L> {
             metrics: RefCell::new(Metrics::new()),
             sent_seq: Cell::new(0),
             comm_seq: Cell::new(0),
+            subgroup_ids: RefCell::default(),
         };
         RealComm {
             ctx: Rc::new(ctx),
@@ -328,6 +331,16 @@ impl<L: Link> RealComm<L> {
             .flight
             .lock()
             .record(TraceEvent::compute(t1 - dt, t1, cat));
+    }
+
+    /// This rank's handle on the subcommunicator `group`.
+    fn child(&self, group: collectives::SplitGroup) -> Self {
+        RealComm {
+            ctx: Rc::clone(&self.ctx),
+            id: group.id,
+            members: Arc::new(group.members),
+            my_idx: group.my_idx,
+        }
     }
 
     /// Hand one message to the link. `counted` selects whether the send
@@ -521,13 +534,17 @@ impl<L: Link> Transport for RealComm<L> {
         &self.ctx.model
     }
 
+    fn id(&self) -> u64 {
+        self.id
+    }
+
     /// `MPI_Comm_split` over real messages (see [`collectives::split`]).
     /// Ids come from the root's own counter, so no cluster-wide state is
     /// needed: two roots differ in the high half, two splits by one root in
     /// the low half.
     fn split(&self, color: usize, key: usize) -> Self {
         let ctx = &self.ctx;
-        let group = collectives::split(
+        self.child(collectives::split(
             &self.members,
             self.my_idx,
             color,
@@ -535,13 +552,18 @@ impl<L: Link> Transport for RealComm<L> {
             |dst, tag, payload| self.post(dst, tag, payload, Category::Setup, false),
             |src, tag| self.recv_matching(|s, t| src.is_none_or(|want| s == want) && t == tag),
             |n| rank_scoped_id(&ctx.comm_seq, ctx.world_rank, n),
-        );
-        RealComm {
-            ctx: Rc::clone(ctx),
-            id: group.id,
-            members: Arc::new(group.members),
-            my_idx: group.my_idx,
-        }
+        ))
+    }
+
+    fn subgroup(&self, members: &[usize], color: usize) -> Self {
+        self.child(collectives::subgroup(
+            self.id,
+            &self.members,
+            self.my_idx,
+            members,
+            color,
+            &self.ctx.subgroup_ids,
+        ))
     }
 
     fn now(&self) -> f64 {

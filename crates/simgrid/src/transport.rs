@@ -79,10 +79,10 @@ pub fn envelope_bytes(words: usize) -> usize {
 
 /// A communicator handle of one rank on some message-passing backend.
 ///
-/// Cloning semantics follow `MPI_Comm`: [`split`](Transport::split) is
-/// collective and yields a subcommunicator of the same concrete backend,
-/// which is why the trait is `Sized` and the solver core is generic rather
-/// than trait-object-based.
+/// Cloning semantics follow `MPI_Comm`: [`split`](Transport::split) and
+/// [`subgroup`](Transport::subgroup) yield a subcommunicator of the same
+/// concrete backend, which is why the trait is `Sized` and the solver core
+/// is generic rather than trait-object-based.
 pub trait Transport: Sized {
     // ---- topology ----
 
@@ -101,10 +101,26 @@ pub trait Transport: Sized {
     /// for modeled kernel times).
     fn model(&self) -> &MachineModel;
 
+    /// Id of this communicator: what queued messages and wire frames are
+    /// matched on. Distinct for any two communicators one rank holds.
+    fn id(&self) -> u64;
+
     /// Split into disjoint subcommunicators by `color`, members ordered by
     /// `(key, world rank)`. Collective: all ranks of this communicator
-    /// must call in the same program order.
+    /// must call in the same program order. Costs a gather to rank 0 and a
+    /// broadcast back; when every member can work out its group by itself,
+    /// use [`subgroup`](Transport::subgroup).
     fn split(&self, color: usize, key: usize) -> Self;
+
+    /// The subcommunicator whose rank `i` is this communicator's rank
+    /// `members[i]`, built without sending or receiving anything: the
+    /// `MPI_Cart_sub` case, where membership is a function of coordinates
+    /// every rank holds. `members` must contain the caller, and every
+    /// member must pass the same list and the same `color` (which tells
+    /// sibling groups of one call apart). Ranks that belong to no group of
+    /// a call do not make it; members of one group must build the groups
+    /// they share on this communicator in the same program order.
+    fn subgroup(&self, members: &[usize], color: usize) -> Self;
 
     // ---- clock & accounting ----
 
@@ -244,8 +260,16 @@ impl Transport for crate::Comm {
         crate::Comm::model(self)
     }
 
+    fn id(&self) -> u64 {
+        crate::Comm::id(self)
+    }
+
     fn split(&self, color: usize, key: usize) -> Self {
         crate::Comm::split(self, color, key)
+    }
+
+    fn subgroup(&self, members: &[usize], color: usize) -> Self {
+        crate::Comm::subgroup(self, members, color)
     }
 
     fn now(&self) -> f64 {

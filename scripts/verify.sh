@@ -20,6 +20,18 @@ echo "== examples/benchmark: locked build + self-test =="
 cargo build --release --offline --locked --manifest-path examples/benchmark/Cargo.toml
 cargo run --release --offline --locked --quiet --manifest-path examples/benchmark/Cargo.toml -- --self-test
 
+# Solver code builds its communicators from the plan (`Plan::cart_comms`,
+# `Transport::subgroup`); the message-based `Transport::split` is for tests
+# only. Each file is scanned up to its `#[cfg(test)]` module.
+echo "== no Transport::split in crates/core/src outside tests =="
+awk 'FNR == 1 { in_tests = 0 }
+     /#\[cfg\(test\)\]/ { in_tests = 1 }
+     !in_tests && /\.split\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+     END { exit found }' crates/core/src/*.rs || {
+    echo "verify: solver code calls .split( (lines above)" >&2
+    exit 1
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

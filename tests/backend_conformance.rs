@@ -24,6 +24,7 @@
 mod common;
 
 use sptrsv_repro::prelude::*;
+use sptrsv_repro::sptrsv;
 use std::sync::Arc;
 
 const NRHS: usize = 2;
@@ -156,6 +157,35 @@ fn baseline3d_cpu_backends_agree() {
 fn gpu_variants_backends_agree() {
     assert_backends_agree(Algorithm::New3d, Arch::Gpu, (2, 2, 4));
     assert_backends_agree(Algorithm::New3dNaiveAllreduce, Arch::Gpu, (2, 1, 4));
+}
+
+/// A solve sends the messages its schedule IR lists and nothing else: no
+/// communicator set-up traffic on any backend. `msgs.sent` counts every
+/// message a rank hands to its backend, set-up sends included.
+#[test]
+fn new3d_sends_exactly_the_scheduled_messages() {
+    let grid = (2, 2, 4);
+    let (f, b, _) = fixture(grid.2);
+    let sim_cfg = config(Algorithm::New3d, Arch::Cpu, grid);
+    let mut backends = backends_under_test();
+    backends.push(Backend::Sim);
+    for backend in backends {
+        let cfg = SolverConfig {
+            backend,
+            ..sim_cfg.clone()
+        };
+        let solver = Solver3d::new(Arc::clone(&f), cfg);
+        let v = sptrsv::analysis::predict_new3d_volume(solver.plan(), NRHS);
+        let out = solver.solve(&b, NRHS);
+        let scheduled = v.xy_msgs + v.z_msgs;
+        assert!(scheduled > 0);
+        assert_eq!(total_sent(&out), scheduled, "{backend:?}: counted sends");
+        assert_eq!(
+            out.metrics.counter("msgs.sent"),
+            scheduled,
+            "{backend:?}: messages handed to the backend"
+        );
+    }
 }
 
 /// Repeated native solves through the compiled-schedule path stay

@@ -286,8 +286,7 @@ proptest! {
             let plan = &plan2;
             let z = world.rank();
             let rs = &sched.ranks[plan.rank_of(0, 0, z)];
-            let _grid = world.split(z, 0);
-            let zcomm = world.split(0, z);
+            let (_grid, zcomm) = plan.cart_comms(&world);
             // Synthetic partials: supernode k contributes (k + z·1000) per
             // entry on its replicating grids (exact in f64, so the reduced
             // sums admit equality checks).

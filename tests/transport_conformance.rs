@@ -12,7 +12,9 @@ use simgrid::wire::WirePack;
 use simgrid::{
     Category, ClusterOptions, EventKind, MachineModel, RealOptions, RunReport, Transport,
 };
-use std::sync::{PoisonError, RwLock};
+use sptrsv_repro::{lufactor, sparse, sptrsv::Plan};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 /// Proc cases run alone; sim and native cases may share the process.
@@ -246,6 +248,142 @@ fn sibling_comms_split_concurrently_do_not_cross_talk<C: Cluster>() {
     }
 }
 
+/// One rank's view of a communicator: size, own rank, world rank of each
+/// member.
+fn shape<T: Transport>(c: &T) -> (usize, usize, Vec<usize>) {
+    let members = (0..c.size()).map(|r| c.world_rank(r)).collect();
+    (c.size(), c.rank(), members)
+}
+
+/// For every `Px·Py·Pz <= 16` layout, the grid and z communicators a rank
+/// program builds from its plan are the ones `split(z, x + Px·y)` and
+/// `split(x + Px·y, z)` would have negotiated.
+fn plan_time_comms_equal_the_split_ones_on_every_layout<C: Cluster>() {
+    let a = sparse::gen::poisson2d_9pt(12, 12);
+    let fact = Arc::new(lufactor::factorize(&a, 16, &Default::default()).expect("factorizes"));
+    for pz in [1usize, 2, 4, 8, 16] {
+        for py in 1..=16 / pz {
+            for px in 1..=16 / (pz * py) {
+                let plan = Plan::new(Arc::clone(&fact), px, py, pz);
+                run::<C, _, _>(plan.nranks(), |world| {
+                    let (x, y, z) = plan.coords(world.rank());
+                    let (grid, zcomm) = plan.cart_comms(&world);
+                    let at = format!("{px}x{py}x{pz} rank {}", world.rank());
+                    assert_eq!(shape(&grid), shape(&world.split(z, x + px * y)), "{at}");
+                    assert_eq!(shape(&zcomm), shape(&world.split(x + px * y, z)), "{at}");
+                });
+            }
+        }
+    }
+}
+
+/// Three groupings of an 8-rank world, each built by `subgroup` or by the
+/// `split` that yields the same members in the same order: the two halves,
+/// inside each half the two leaves of equal parity (nested), and on the
+/// world again the four neighbour pairs (siblings of the halves).
+fn family<T: Transport>(c: &T, plan_time: bool) -> [T; 3] {
+    let me = c.rank();
+    let base = 4 * (me / 4);
+    if plan_time {
+        let half = c.subgroup(&[base, base + 1, base + 2, base + 3], me / 4);
+        let parity = half.rank() % 2;
+        let leaf = half.subgroup(&[parity, parity + 2], parity);
+        let pair = c.subgroup(&[me & !1, me | 1], me / 2);
+        [half, leaf, pair]
+    } else {
+        let half = c.split(me / 4, me);
+        let leaf = half.split(half.rank() % 2, half.rank());
+        let pair = c.split(me / 2, me);
+        [half, leaf, pair]
+    }
+}
+
+/// Members of one group derive one id; any two different groups — world,
+/// nested, sibling, negotiated by `split`, or the same members built a
+/// second time — get different ones.
+fn subgroup_ids_are_pairwise_distinct<C: Cluster>() {
+    let rep = run::<C, _, _>(8, |c| {
+        let me = c.rank();
+        let base = 4 * (me / 4);
+        let mut comms = Vec::from(family(&c, true));
+        comms.extend(family(&c, false));
+        comms.push(c.subgroup(&[base, base + 1, base + 2, base + 3], me / 4));
+        comms.push(c);
+        comms
+            .iter()
+            .map(|g| {
+                let mask: u64 = (0..g.size()).map(|r| 1u64 << g.world_rank(r)).sum();
+                (g.id(), mask)
+            })
+            .collect::<Vec<(u64, u64)>>()
+    });
+    // A group is (which construction, which members).
+    let mut id_of: HashMap<(usize, u64), u64> = HashMap::new();
+    for views in &rep.results {
+        for (kind, &(id, mask)) in views.iter().enumerate() {
+            let agreed = *id_of.entry((kind, mask)).or_insert(id);
+            assert_eq!(agreed, id, "members of group {kind}/{mask:#b} disagree");
+        }
+    }
+    // 2 halves + 4 leaves + 4 pairs twice over, 2 halves again, world.
+    assert_eq!(id_of.len(), 2 * 10 + 2 + 1);
+    let distinct: HashSet<u64> = id_of.values().copied().collect();
+    assert_eq!(distinct.len(), id_of.len(), "two groups share an id");
+}
+
+/// Allreduces interleaved on leaves, pairs, halves and the world give the
+/// bits the `split`-built communicators give: same members, same order,
+/// same binomial shape, and no message strays between sibling groups.
+fn interleaved_allreduce_on_subgroups_matches_split<C: Cluster>() {
+    fn sums<T: Transport>(world: &T, [half, leaf, pair]: &[T; 3]) -> Vec<u64> {
+        let r = world.rank() as f64;
+        let mut out = Vec::new();
+        // Twice, in two orders: collective tags advance per communicator.
+        for order in [[leaf, pair, half, world], [world, half, leaf, pair]] {
+            for comm in order {
+                // Values chosen so summation order matters in f64.
+                let mut v = [1.0 + 1e-16 * r, (r + 0.1).ln(), 3e300 * (r - 3.0)];
+                comm.allreduce_sum(&mut v, Category::ZComm);
+                out.extend(v.iter().map(|x| x.to_bits()));
+            }
+        }
+        out
+    }
+    let rep = run::<C, _, _>(8, |c| {
+        (sums(&c, &family(&c, true)), sums(&c, &family(&c, false)))
+    });
+    for (r, (plan_time, split)) in rep.results.iter().enumerate() {
+        assert_eq!(plan_time, split, "rank {r}");
+    }
+}
+
+/// Building subgroups moves nothing: no send, no receive, no settle wait
+/// on any rank — while the `split`s of the same groups do show up in the
+/// same counters.
+fn subgroups_cost_no_messages<C: Cluster>() {
+    let traffic = |plan_time: bool| {
+        let rep = run::<C, _, _>(8, move |c| {
+            family(&c, plan_time);
+        });
+        let counted: u64 = rep
+            .stats
+            .iter()
+            .map(|s| s.msgs_sent.iter().chain(&s.bytes_sent).sum::<u64>())
+            .sum();
+        let m = &rep.metrics;
+        // Set-up sends are never "counted" traffic; the real runtime's
+        // `msgs.sent` and the simulator's settle waits see them anyway.
+        (
+            counted + m.counter("msgs.received"),
+            m.counter("msgs.sent") + m.counter("recv.settle_waits"),
+        )
+    };
+    assert_eq!(traffic(true), (0, 0));
+    let (counted, seen) = traffic(false);
+    assert_eq!(counted, 0);
+    assert!(seen > 0, "the counters would not have seen set-up traffic");
+}
+
 fn bcast_from_nonzero_root<C: Cluster>() {
     let rep = run::<C, _, _>(5, |c| {
         let mut v = if c.rank() == 3 { [42.0] } else { [0.0] };
@@ -368,6 +506,10 @@ macro_rules! suite {
                 split_creates_disjoint_comms,
                 nested_split_rows_and_cols,
                 sibling_comms_split_concurrently_do_not_cross_talk,
+                plan_time_comms_equal_the_split_ones_on_every_layout,
+                subgroup_ids_are_pairwise_distinct,
+                interleaved_allreduce_on_subgroups_matches_split,
+                subgroups_cost_no_messages,
                 bcast_from_nonzero_root,
                 flight_spans_pair_by_seq,
                 watchdog_names_the_stalled_rank_and_dumps_flight
