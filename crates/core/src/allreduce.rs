@@ -16,11 +16,11 @@
 //! lists are already trimmed to the supernodes the step's sender subtree
 //! can contribute a nonzero partial for, and a step whose list compiled to
 //! empty is *elided* here — no message, no span. Liveness on this path is
-//! fully static (presizing below gives every listed supernode a slot), so
-//! the trimmed list alone determines the exact payload width — no presence
-//! bitmap on the wire — and `check_layout` validates it on receipt. The
-//! presence-bitmap wire format (DESIGN.md §15) lives in
-//! [`pack_present_into`]/[`unpack_add_present`] for the residual case where
+//! fully static (every listed supernode has a piece in the rank's value
+//! slab), so the trimmed list alone determines the exact payload width —
+//! no presence bitmap on the wire — and `check_layout` validates it on
+//! receipt. The presence-bitmap wire format (DESIGN.md §15) lives in
+//! [`pack_present_with`]/[`unpack_present_with`] for the residual case where
 //! liveness is runtime-dependent: the baseline's lsum exchange, whose
 //! occupancy depends on which partials the ledger actually accumulated.
 //!
@@ -28,18 +28,18 @@
 //! per elimination-tree node — is provided as [`naive_allreduce`] for the
 //! ablation benchmark, over the same (live-trimmed) node lists.
 
+use crate::arena::SupStore;
 use crate::plan::{Plan, ZTrim};
 use crate::schedule::{NaiveNode, ZStep};
 use simgrid::{Category, SpanDetail, Transport, TreeRole};
-use std::collections::HashMap;
 
 const TAG_R: u64 = 7 << 40;
 const TAG_B: u64 = 8 << 40;
 
 /// Doubles on the wire for one packed step list: the listed supernode
-/// widths, nothing else. Exact — presizing guarantees every listed slot
-/// exists, so the payload width is a compile-time constant `analysis.rs`
-/// uses for the volume prediction.
+/// widths, nothing else. Exact — every listed supernode has a piece, so
+/// the payload width is a compile-time constant `analysis.rs` uses for
+/// the volume prediction.
 pub(crate) fn payload_doubles(plan: &Plan, sups: &[u32], nrhs: usize) -> u64 {
     let sym = plan.fact.lu.sym();
     sups.iter()
@@ -48,26 +48,16 @@ pub(crate) fn payload_doubles(plan: &Plan, sups: &[u32], nrhs: usize) -> u64 {
 }
 
 /// Pack the listed supernode pieces into `buf` (cleared first), in list
-/// order. Under the trimmed layout every listed supernode has a pre-sized
-/// slot; the zero-fill arm only fires for dense-layout lists that carry
-/// supernodes this rank never computed a partial for (the pre-trim wire
-/// bytes the live layout deletes). The caller hoists `buf` across rounds
-/// and pre-reserves it, so the audited packing below never allocates.
-fn pack_into(
-    plan: &Plan,
-    sups: &[u32],
-    vals: &HashMap<u32, Vec<f64>>,
-    nrhs: usize,
-    buf: &mut Vec<f64>,
-) {
+/// order. A piece this rank never computed a partial for is zero (the
+/// dense layout's pre-trim wire bytes the live layout deletes). The
+/// caller hoists `buf` across rounds and pre-reserves it, so the audited
+/// packing below never allocates.
+fn pack_into(plan: &Plan, sups: &[u32], vals: &mut impl SupStore, nrhs: usize, buf: &mut Vec<f64>) {
     let _audit = crate::audit::pass_scope();
     let sym = plan.fact.lu.sym();
     buf.clear();
     for &k in sups {
-        match vals.get(&k) {
-            Some(v) => buf.extend_from_slice(v),
-            None => buf.extend(std::iter::repeat_n(0.0, sym.sup_width(k as usize) * nrhs)),
-        }
+        buf.extend_from_slice(vals.piece(k, sym.sup_width(k as usize) * nrhs));
     }
 }
 
@@ -90,47 +80,36 @@ fn check_layout(plan: &Plan, sups: &[u32], buf: &[f64], nrhs: usize, what: &str)
     );
 }
 
-fn unpack_add(
+/// Unpack a received pack into the listed pieces: summed in (reduce) or
+/// overwriting them (broadcast). Pieces exist before the exchange, so
+/// this never allocates mid-solve.
+fn unpack(
     plan: &Plan,
     sups: &[u32],
     buf: &[f64],
-    vals: &mut HashMap<u32, Vec<f64>>,
+    vals: &mut impl SupStore,
     nrhs: usize,
+    add: bool,
 ) {
     let _audit = crate::audit::pass_scope();
-    check_layout(plan, sups, buf, nrhs, "reduce pack");
+    check_layout(
+        plan,
+        sups,
+        buf,
+        nrhs,
+        if add { "reduce pack" } else { "broadcast pack" },
+    );
     let sym = plan.fact.lu.sym();
     let mut off = 0;
     for &k in sups {
         let w = sym.sup_width(k as usize) * nrhs;
-        let entry = vals.entry(k).or_insert_with(|| vec![0.0; w]);
-        for (a, &v) in entry.iter_mut().zip(&buf[off..off + w]) {
-            *a += v;
-        }
-        off += w;
-    }
-}
-
-fn unpack_set(
-    plan: &Plan,
-    sups: &[u32],
-    buf: &[f64],
-    vals: &mut HashMap<u32, Vec<f64>>,
-    nrhs: usize,
-) {
-    let _audit = crate::audit::pass_scope();
-    check_layout(plan, sups, buf, nrhs, "broadcast pack");
-    let sym = plan.fact.lu.sym();
-    let mut off = 0;
-    for &k in sups {
-        let w = sym.sup_width(k as usize) * nrhs;
-        // Overwrite in place: the slot was pre-sized before the exchange
-        // (or by the 2D pass), so this never allocates mid-solve.
-        match vals.get_mut(&k) {
-            Some(slot) if slot.len() == w => slot.copy_from_slice(&buf[off..off + w]),
-            _ => {
-                vals.insert(k, buf[off..off + w].to_vec());
+        let piece = vals.piece(k, w);
+        if add {
+            for (a, &v) in piece.iter_mut().zip(&buf[off..off + w]) {
+                *a += v;
             }
+        } else {
+            piece.copy_from_slice(&buf[off..off + w]);
         }
         off += w;
     }
@@ -143,30 +122,22 @@ pub(crate) fn bit_set(words: &[f64], i: usize) -> bool {
 
 /// Presence-bitmap packing (DESIGN.md §15) for exchanges whose liveness is
 /// *runtime*-dependent — the baseline's lsum exchange, where a rank only
-/// holds partials the ledger actually accumulated this solve. The payload
-/// is a `ceil(len/64)`-word presence bitmap (u64 bit patterns carried as
-/// f64), then the values of each *present* supernode in list order; absent
-/// supernodes ship no bytes at all. `piece(k)` yields the supernode's
-/// values when the rank holds them this solve. `buf` is cleared first; the
-/// caller hoists and pre-reserves it.
-///
-/// Reference packer for the format's round-trip test; the baseline's
-/// `pack_lsums_into` inlines the same layout because its pieces are folded
-/// through a bump arena the closure signature cannot borrow from.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn pack_present_with<'a>(
+/// holds partials its ledger accumulated this solve. The payload is a
+/// `ceil(len/64)`-word presence bitmap (u64 bit patterns carried as f64),
+/// then the values of each *present* supernode in list order; absent
+/// supernodes ship no bytes at all. `piece(k, buf)` appends supernode
+/// `k`'s values when the rank holds them this solve and says whether it
+/// did. `buf` is cleared first; the caller hoists it.
+pub(crate) fn pack_present_with(
     sups: &[u32],
-    mut piece: impl FnMut(u32) -> Option<&'a [f64]>,
     buf: &mut Vec<f64>,
+    mut piece: impl FnMut(u32, &mut Vec<f64>) -> bool,
 ) {
-    let _audit = crate::audit::pass_scope();
     buf.clear();
-    let nwords = sups.len().div_ceil(64);
-    buf.resize(nwords, 0.0);
+    buf.resize(sups.len().div_ceil(64), 0.0);
     for (i, &k) in sups.iter().enumerate() {
-        if let Some(v) = piece(k) {
+        if piece(k, buf) {
             buf[i / 64] = f64::from_bits(buf[i / 64].to_bits() | 1 << (i % 64));
-            buf.extend_from_slice(v);
         }
     }
 }
@@ -222,16 +193,14 @@ pub(crate) fn check_present_layout(
 }
 
 /// Unpack a presence-bitmap payload, handing each *present* supernode's
-/// values to `add`; absent supernodes are untouched. Not an audited
-/// region: `add` may land in a per-solve ledger whose cold first touch of
-/// a `(sup, key)` pair allocates by design.
+/// list position and values to `add`; absent supernodes are untouched.
 pub(crate) fn unpack_present_with(
     plan: &Plan,
     sups: &[u32],
     buf: &[f64],
     nrhs: usize,
     what: &str,
-    mut add: impl FnMut(u32, &[f64]),
+    mut add: impl FnMut(usize, &[f64]),
 ) {
     let nwords = check_present_layout(plan, sups, buf, nrhs, what);
     let sym = plan.fact.lu.sym();
@@ -241,7 +210,7 @@ pub(crate) fn unpack_present_with(
             continue;
         }
         let w = sym.sup_width(k as usize) * nrhs;
-        add(k, &buf[off..off + w]);
+        add(i, &buf[off..off + w]);
         off += w;
     }
 }
@@ -261,6 +230,29 @@ pub(crate) fn note_sent<T: Transport>(
     );
 }
 
+/// Presize, outside the audited regions: every listed supernode gets a
+/// piece and the returned pack buffer is reserved to the widest list, so
+/// the audited pack/unpack never allocates — already on the first solve.
+fn presize<'a>(
+    plan: &Plan,
+    lists: impl Iterator<Item = &'a [u32]>,
+    nrhs: usize,
+    vals: &mut impl SupStore,
+) -> Vec<f64> {
+    let sym = plan.fact.lu.sym();
+    let mut max_doubles = 0;
+    for sups in lists {
+        let mut doubles = 0;
+        for &k in sups {
+            let w = sym.sup_width(k as usize) * nrhs;
+            vals.piece(k, w);
+            doubles += w;
+        }
+        max_doubles = max_doubles.max(doubles);
+    }
+    Vec::with_capacity(max_doubles)
+}
+
 /// Run the sparse allreduce over `y_vals` from my compiled step roles
 /// (`zsteps[l]` is my role at step `l`, `None` when I sit out). `zcomm`
 /// is the communicator over the `Pz` grids at fixed `(x, y)`, ranked by
@@ -272,27 +264,18 @@ pub fn sparse_allreduce<T: Transport>(
     zcomm: &T,
     zsteps: &[Option<ZStep>],
     nrhs: usize,
-    y_vals: &mut HashMap<u32, Vec<f64>>,
+    y_vals: &mut impl SupStore,
 ) {
-    let sym = plan.fact.lu.sym();
-    // Presize, outside the audited regions: every listed supernode gets a
-    // slot and the hoisted pack buffer is reserved to the widest step, so
-    // the audited pack/unpack compute never allocates — already on the
-    // first solve. Touch the counters here too (alloc-free `inc` later,
-    // and the trim is visible in a scrape even when it saves nothing).
-    let mut max_doubles = 0usize;
-    for step in zsteps.iter().flatten() {
-        let mut doubles = 0usize;
-        for &k in &step.sups {
-            let w = sym.sup_width(k as usize) * nrhs;
-            doubles += w;
-            y_vals.entry(k).or_insert_with(|| vec![0.0; w]);
-        }
-        max_doubles = max_doubles.max(doubles);
-    }
+    let mut buf = presize(
+        plan,
+        zsteps.iter().flatten().map(|s| &s.sups[..]),
+        nrhs,
+        y_vals,
+    );
+    // Touch the counters (alloc-free `inc` later, and the trim shows in a
+    // scrape even when it saves nothing).
     zcomm.metric_inc("comm.z.bytes", 0);
     zcomm.metric_inc("comm.z.bytes_saved", 0);
-    let mut buf: Vec<f64> = Vec::with_capacity(max_doubles);
 
     let detail = |l: usize, role: TreeRole, step: &ZStep| match plan.trim() {
         ZTrim::Live => SpanDetail::ZExchangeTrim {
@@ -307,54 +290,36 @@ pub fn sparse_allreduce<T: Transport>(
         },
     };
 
-    // Sparse reduce: leaf to root, partial sums flow toward smaller z.
-    for (l, step) in zsteps.iter().enumerate() {
+    // Sparse reduce, leaf to root (partial sums flow toward smaller z),
+    // then sparse broadcast, root to leaf, with the roles mirrored.
+    let reduce = zsteps.iter().enumerate().map(|s| (s, true));
+    let bcast = zsteps.iter().enumerate().rev().map(|s| (s, false));
+    for ((l, step), up) in reduce.chain(bcast) {
         let Some(step) = step else { continue };
+        let sends = step.to_smaller == up;
         if step.sups.is_empty() && plan.trim() == ZTrim::Live {
             // Round elided: nothing live crosses this cut. No message, no
             // span — not even the envelope of the zero-payload message the
             // dense layout would still ship. The dense payload (zero when
             // the list was empty by ownership alone) is saved wire bytes.
-            if step.to_smaller {
+            if sends {
                 zcomm.metric_inc("comm.z.bytes_saved", 8 * step.dense_doubles * nrhs as u64);
             }
             continue;
         }
-        zcomm.set_span_detail(Some(detail(l, TreeRole::Reduce, step)));
-        if step.to_smaller {
+        let (role, tag) = if up {
+            (TreeRole::Reduce, TAG_R + l as u64)
+        } else {
+            (TreeRole::Bcast, TAG_B + l as u64)
+        };
+        zcomm.set_span_detail(Some(detail(l, role, step)));
+        if sends {
             pack_into(plan, &step.sups, y_vals, nrhs, &mut buf);
             note_sent(zcomm, step.dense_doubles, nrhs, buf.len());
-            zcomm.send(step.peer as usize, TAG_R + l as u64, &buf, Category::ZComm);
+            zcomm.send(step.peer as usize, tag, &buf, Category::ZComm);
         } else {
-            let msg = zcomm.recv(
-                Some(step.peer as usize),
-                Some(TAG_R + l as u64),
-                Category::ZComm,
-            );
-            unpack_add(plan, &step.sups, &msg.payload, y_vals, nrhs);
-        }
-    }
-    // Sparse broadcast: root to leaf, roles mirrored.
-    for (l, step) in zsteps.iter().enumerate().rev() {
-        let Some(step) = step else { continue };
-        if step.sups.is_empty() && plan.trim() == ZTrim::Live {
-            if !step.to_smaller {
-                zcomm.metric_inc("comm.z.bytes_saved", 8 * step.dense_doubles * nrhs as u64);
-            }
-            continue;
-        }
-        zcomm.set_span_detail(Some(detail(l, TreeRole::Bcast, step)));
-        if step.to_smaller {
-            let msg = zcomm.recv(
-                Some(step.peer as usize),
-                Some(TAG_B + l as u64),
-                Category::ZComm,
-            );
-            unpack_set(plan, &step.sups, &msg.payload, y_vals, nrhs);
-        } else {
-            pack_into(plan, &step.sups, y_vals, nrhs, &mut buf);
-            note_sent(zcomm, step.dense_doubles, nrhs, buf.len());
-            zcomm.send(step.peer as usize, TAG_B + l as u64, &buf, Category::ZComm);
+            let msg = zcomm.recv(Some(step.peer as usize), Some(tag), Category::ZComm);
+            unpack(plan, &step.sups, &msg.payload, y_vals, nrhs, up);
         }
     }
     zcomm.set_span_detail(None);
@@ -369,23 +334,11 @@ pub fn naive_allreduce<T: Transport>(
     zcomm: &T,
     naive: &[NaiveNode],
     nrhs: usize,
-    y_vals: &mut HashMap<u32, Vec<f64>>,
+    y_vals: &mut impl SupStore,
 ) {
-    let sym = plan.fact.lu.sym();
-    // Presize slots and the hoisted buffer (see `sparse_allreduce`).
-    let mut max_doubles = 0usize;
-    for nn in naive {
-        let mut doubles = 0usize;
-        for &k in &nn.sups {
-            let w = sym.sup_width(k as usize) * nrhs;
-            doubles += w;
-            y_vals.entry(k).or_insert_with(|| vec![0.0; w]);
-        }
-        max_doubles = max_doubles.max(doubles);
-    }
+    let mut buf = presize(plan, naive.iter().map(|n| &n.sups[..]), nrhs, y_vals);
     zcomm.metric_inc("comm.z.bytes", 0);
     zcomm.metric_inc("comm.z.bytes_saved", 0);
-    let mut buf: Vec<f64> = Vec::with_capacity(max_doubles);
 
     // All grids of a subtree call in the same order (root first).
     for nn in naive {
@@ -405,7 +358,7 @@ pub fn naive_allreduce<T: Transport>(
         note_sent(zcomm, nn.dense_doubles, nrhs, buf.len());
         sub.set_span_detail(Some(SpanDetail::NaiveAllreduce { node: nn.node }));
         sub.allreduce_sum(&mut buf, Category::ZComm);
-        unpack_set(plan, &nn.sups, &buf, y_vals, nrhs);
+        unpack(plan, &nn.sups, &buf, y_vals, nrhs, false);
     }
     zcomm.set_span_detail(None);
 }
@@ -525,7 +478,9 @@ mod tests {
             }
         }
         let mut buf = Vec::new();
-        pack_present_with(&sups, |k| vals.get(&k).map(|v| v.as_slice()), &mut buf);
+        pack_present_with(&sups, &mut buf, |k, buf| {
+            vals.get(&k).map(|v| buf.extend_from_slice(v)).is_some()
+        });
         let present: usize = sups
             .iter()
             .enumerate()
@@ -536,8 +491,8 @@ mod tests {
 
         // Only present supernodes are visited, each with its own values.
         let mut seen: HashMap<u32, Vec<f64>> = HashMap::new();
-        unpack_present_with(&plan, &sups, &buf, nrhs, "test pack", |k, v| {
-            seen.insert(k, v.to_vec());
+        unpack_present_with(&plan, &sups, &buf, nrhs, "test pack", |i, v| {
+            seen.insert(sups[i], v.to_vec());
         });
         assert_eq!(seen.len(), vals.len());
         for (k, v) in &vals {

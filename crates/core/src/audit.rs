@@ -10,19 +10,27 @@
 //! on every heap allocation, which counts only while the current thread is
 //! inside a scope.
 //!
-//! Outside the audit test this is two thread-local `Cell` reads per pass —
-//! effectively free, and allocation-safe to call from inside a global
-//! allocator (const-initialized TLS, no lazy allocation).
+//! Pass *setup* has a budget instead of a zero: [`setup_scope`] brackets
+//! one pass's engine construction and records how far its allocations
+//! exceeded the one-per-`Arc`-payload part of the budget.
+//!
+//! Outside the audit test this is a few thread-local `Cell` accesses per
+//! pass — effectively free, and allocation-safe to call from inside a
+//! global allocator (const-initialized TLS, no lazy allocation).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 thread_local! {
     static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
+    static IN_SETUP: Cell<bool> = const { Cell::new(false) };
+    static SETUP_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Total allocations observed inside audit scopes, across all threads.
 static SCOPED_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Largest `allocations − payloads` over finished setup scopes.
+static SETUP_EXCESS: AtomicI64 = AtomicI64::new(i64::MIN);
 
 /// RAII marker: the current thread is in a steady-state region. Nested
 /// scopes are tolerated (the outermost wins).
@@ -54,12 +62,45 @@ pub fn on_alloc() {
     if scoped {
         SCOPED_ALLOCS.fetch_add(1, Ordering::Relaxed);
     }
+    if IN_SETUP.try_with(|f| f.get()).unwrap_or(false) {
+        let _ = SETUP_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 /// Drain the cross-thread scoped-allocation counter (returns the count
 /// since the previous call and resets it to zero).
 pub fn take_scoped_allocs() -> u64 {
     SCOPED_ALLOCS.swap(0, Ordering::Relaxed)
+}
+
+/// RAII marker around one pass's engine setup on this thread.
+pub struct SetupScope {
+    payloads: u64,
+    start: u64,
+}
+
+/// Enter a pass setup that builds `payloads` `Arc` send buffers.
+pub fn setup_scope(payloads: usize) -> SetupScope {
+    IN_SETUP.with(|f| f.set(true));
+    SetupScope {
+        payloads: payloads as u64,
+        start: SETUP_ALLOCS.with(Cell::get),
+    }
+}
+
+impl Drop for SetupScope {
+    fn drop(&mut self) {
+        IN_SETUP.with(|f| f.set(false));
+        let allocs = SETUP_ALLOCS.with(Cell::get) - self.start;
+        SETUP_EXCESS.fetch_max(allocs as i64 - self.payloads as i64, Ordering::Relaxed);
+    }
+}
+
+/// Drain the setup record: the largest `allocations − payloads` of any
+/// pass setup since the previous call, `None` if none ran.
+pub fn take_setup_excess() -> Option<i64> {
+    let worst = SETUP_EXCESS.swap(i64::MIN, Ordering::Relaxed);
+    (worst != i64::MIN).then_some(worst)
 }
 
 #[cfg(test)]

@@ -15,180 +15,87 @@
 //! all come precompiled in the plan's schedule (`l_steps`/`u_steps` with
 //! their [`ZExchange`]s); the rank program just walks the step list.
 
-use crate::driver::{ExecutorKind, PhaseTimes};
+use crate::driver::PhaseTimes;
 use crate::new3d::RankOutput;
 use crate::plan::Plan;
 use crate::schedule::{ScheduleKey, ZExchange};
-use crate::solve2d::{l_solve_pass, u_solve_pass, Ctx, Ledger, SolveState};
+use crate::solve2d::{solve_pass, Ctx, SolveState};
 use simgrid::{Category, SpanDetail, Transport};
 
-/// Pack per-rank partial `lsum` rows `I` (ancestor supernodes with
-/// `I mod Px == x`) into `buf` (cleared first) in the presence-bitmap
-/// wire format (DESIGN.md §15): which rows a rank actually accumulated is
-/// only known at run time, so a `ceil(len/64)`-word bitmap leads and rows
-/// the rank never touched ship no bytes at all (the pre-PR9 format
-/// zero-filled them). Folds through the state's arena and reuses the
-/// caller's hoisted buffer, so steady-state exchanges stop allocating per
-/// level.
-fn pack_lsums_into(
-    plan: &Plan,
-    sups: &[u32],
-    state: &mut SolveState,
-    nrhs: usize,
-    buf: &mut Vec<f64>,
-) {
-    let sym = plan.fact.lu.sym();
-    buf.clear();
-    let nwords = sups.len().div_ceil(64);
-    buf.resize(nwords, 0.0);
-    for (i, &su) in sups.iter().enumerate() {
-        if !state.lsum.has(su) {
-            continue;
-        }
-        let w = sym.sup_width(su as usize) * nrhs;
-        let tmp = state.arena.slice(w);
-        state.lsum.fold_into(su, tmp);
-        buf[i / 64] = f64::from_bits(buf[i / 64].to_bits() | 1 << (i % 64));
-        buf.extend_from_slice(tmp);
-    }
-}
-
-fn unpack_add_lsums(
-    plan: &Plan,
-    sups: &[u32],
-    tag: u64,
-    buf: &[f64],
-    lsum: &mut Ledger,
-    nrhs: usize,
-) {
-    // Layout validation lives in the unpacker: a malformed bitmap or
-    // wrong-length buffer means sender and receiver disagree on the
-    // exchange's sup list — corrupt the diagnosis, not the solution.
-    crate::allreduce::unpack_present_with(plan, sups, buf, nrhs, "z-exchange lsum", |i, v| {
-        lsum.add(i, Ledger::key_exchange(tag), v);
-    });
-}
-
-/// Pairwise reduce of the ancestor partial sums toward the smaller grid
-/// of each pair (precompiled direction and pack list).
-fn exchange_lsums<T: Transport>(
+/// One pairwise z-exchange of the baseline (precompiled direction and
+/// pack list). When `reduce` (L phase), the partial ancestor sums `lsum`
+/// go toward the smaller grid of the pair in the presence-bitmap wire
+/// format (DESIGN.md §15): which rows a rank accumulated is only known at
+/// run time, so rows it never touched ship no bytes. Otherwise (U phase)
+/// all solved pieces go to the newly activated grid, dense: the sender
+/// just solved every listed ancestor, so a bitmap would only add bytes
+/// and `bytes_saved` stays at zero.
+fn exchange<T: Transport>(
     plan: &Plan,
     zcomm: &T,
-    xch: &ZExchange,
-    nrhs: usize,
-    state: &mut SolveState,
-    buf: &mut Vec<f64>,
-) {
-    zcomm.set_span_detail(Some(SpanDetail::ZExchange {
-        level: (xch.tag & 0xffff) as u32,
-        reduce: true,
-    }));
-    if xch.send {
-        pack_lsums_into(plan, &xch.sups, state, nrhs, buf);
-        let sym = plan.fact.lu.sym();
-        let dense: u64 = xch
-            .sups
-            .iter()
-            .map(|&i| sym.sup_width(i as usize) as u64)
-            .sum();
-        crate::allreduce::note_sent(zcomm, dense, nrhs, buf.len());
-        zcomm.send(xch.peer as usize, xch.tag, buf, Category::ZComm);
-    } else {
-        let msg = zcomm.recv(Some(xch.peer as usize), Some(xch.tag), Category::ZComm);
-        unpack_add_lsums(
-            plan,
-            &xch.sups,
-            xch.tag,
-            &msg.payload,
-            &mut state.lsum,
-            nrhs,
-        );
-    }
-    zcomm.set_span_detail(None);
-}
-
-/// Pairwise broadcast of all solved pieces to the newly activated grids.
-fn exchange_solved<T: Transport>(
-    plan: &Plan,
-    zcomm: &T,
-    xch: &ZExchange,
+    (xch, reduce): (&ZExchange, bool),
     nrhs: usize,
     state: &mut SolveState,
     buf: &mut Vec<f64>,
 ) {
     let sym = plan.fact.lu.sym();
-    zcomm.set_span_detail(Some(SpanDetail::ZExchange {
-        level: (xch.tag & 0xffff) as u32,
-        reduce: false,
-    }));
+    let level = (xch.tag & 0xffff) as u32;
+    zcomm.set_span_detail(Some(SpanDetail::ZExchange { level, reduce }));
+    let sups = &xch.sups;
     if xch.send {
-        buf.clear();
-        for &k in &xch.sups {
-            buf.extend_from_slice(
-                state
-                    .x_vals
-                    .get(&k)
-                    .expect("active grid solved its ancestors"),
-            );
-        }
-        // Solved pieces stay dense: the sender just solved every listed
-        // ancestor, so presence is static and a bitmap would only add
-        // bytes. `bytes_saved` stays at zero for this exchange.
-        let dense: u64 = xch
-            .sups
-            .iter()
-            .map(|&k| sym.sup_width(k as usize) as u64)
-            .sum();
-        crate::allreduce::note_sent(zcomm, dense, nrhs, buf.len());
-        zcomm.send(xch.peer as usize, xch.tag, buf, Category::ZComm);
-    } else {
-        let msg = zcomm.recv(Some(xch.peer as usize), Some(xch.tag), Category::ZComm);
-        let mut off = 0;
-        for &k in &xch.sups {
-            let w = sym.sup_width(k as usize) * nrhs;
-            match state.x_vals.get_mut(&k) {
-                Some(slot) if slot.len() == w => slot.copy_from_slice(&msg.payload[off..off + w]),
-                _ => {
-                    state.x_vals.insert(k, msg.payload[off..off + w].to_vec());
-                }
+        if reduce {
+            let lsum = &state.lsum;
+            crate::allreduce::pack_present_with(sups, buf, |su, buf| {
+                let Some(acc) = lsum.present(su) else {
+                    return false;
+                };
+                let start = buf.len();
+                buf.resize(start + sym.sup_width(su as usize) * nrhs, 0.0);
+                lsum.fold_into(acc, &mut buf[start..]);
+                true
+            });
+        } else {
+            buf.clear();
+            for &k in sups {
+                buf.extend_from_slice(state.x_vals.get(k));
             }
-            off += w;
         }
-        debug_assert_eq!(off, msg.payload.len());
+        let dense: u64 = sups.iter().map(|&k| sym.sup_width(k as usize) as u64).sum();
+        crate::allreduce::note_sent(zcomm, dense, nrhs, buf.len());
+        zcomm.send(xch.peer as usize, xch.tag, buf, Category::ZComm);
+    } else {
+        let msg = zcomm.recv(Some(xch.peer as usize), Some(xch.tag), Category::ZComm);
+        if reduce {
+            // Layout validation lives in the unpacker: a malformed bitmap or
+            // wrong-length buffer means sender and receiver disagree on the
+            // exchange's sup list — corrupt the diagnosis, not the solution.
+            let what = "z-exchange lsum";
+            crate::allreduce::unpack_present_with(plan, sups, &msg.payload, nrhs, what, |i, v| {
+                state.lsum.add_exchange(sups[i], xch.slots[i], v);
+            });
+        } else {
+            let mut off = 0;
+            for &k in sups {
+                let w = sym.sup_width(k as usize) * nrhs;
+                state.x_vals.set(k, &msg.payload[off..off + w]);
+                off += w;
+            }
+            debug_assert_eq!(off, msg.payload.len());
+        }
     }
     zcomm.set_span_detail(None);
 }
 
-/// Run the baseline 3D SpTRSV as the rank program of `(x, y, z)`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rank<T: Transport>(
-    plan: &Plan,
-    grid_comm: &T,
-    zcomm: &T,
-    x: usize,
-    y: usize,
-    z: usize,
-    pb: &[f64],
-    nrhs: usize,
-    executor: ExecutorKind,
-) -> RankOutput {
-    let grid = &plan.grids[z];
+/// Run the baseline 3D SpTRSV as the rank program of `(ctx.x, ctx.y,
+/// ctx.grid.z)`.
+pub fn run_rank<T: Transport>(ctx: &Ctx<T>, zcomm: &T) -> RankOutput {
+    let (plan, grid_comm, nrhs) = (ctx.plan, ctx.comm, ctx.nrhs);
     let sched = plan.schedule(ScheduleKey {
         baseline: true,
         tree_comm: false,
     });
-    let rs = &sched.ranks[plan.rank_of(x, y, z)];
-    let ctx = Ctx {
-        plan,
-        grid,
-        comm: grid_comm,
-        x,
-        y,
-        nrhs,
-        pb,
-        executor,
-    };
-    let mut state = SolveState::default();
+    let rs = &sched.ranks[plan.rank_of(ctx.x, ctx.y, ctx.grid.z)];
+    let mut state = SolveState::new(rs, nrhs);
     // One hoisted pack buffer for every inter-grid exchange of this solve.
     let mut zbuf: Vec<f64> = Vec::new();
 
@@ -205,10 +112,10 @@ pub fn run_rank<T: Transport>(
     // ---------------- L phase: leaves to root ----------------
     for step in &rs.l_steps {
         if let Some(pass) = &step.pass {
-            l_solve_pass(&ctx, pass, &mut state);
+            solve_pass(ctx, pass, &mut state);
         }
         if let Some(xch) = &step.exchange {
-            exchange_lsums(plan, zcomm, xch, nrhs, &mut state, &mut zbuf);
+            exchange(plan, zcomm, (xch, true), nrhs, &mut state, &mut zbuf);
         }
     }
     let (t1, b1, _) = snapshot(grid_comm);
@@ -216,20 +123,17 @@ pub fn run_rank<T: Transport>(
     // ---------------- U phase: root to leaves ----------------
     for step in &rs.u_steps {
         if let Some(pass) = &step.pass {
-            u_solve_pass(&ctx, pass, &mut state);
+            solve_pass(ctx, pass, &mut state);
         }
         if let Some(xch) = &step.exchange {
-            exchange_solved(plan, zcomm, xch, nrhs, &mut state, &mut zbuf);
+            exchange(plan, zcomm, (xch, false), nrhs, &mut state, &mut zbuf);
         }
     }
     let (t2, b2, z2) = snapshot(grid_comm);
 
     let x_pieces = state
         .x_vals
-        .iter()
-        .filter(|(&k, _)| plan.owner_xy(k as usize) == (x, y))
-        .map(|(&k, v)| (k, v.clone()))
-        .collect();
+        .pieces(|k| plan.owner_xy(k as usize) == (ctx.x, ctx.y));
 
     RankOutput {
         phases: PhaseTimes {

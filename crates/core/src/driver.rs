@@ -302,38 +302,26 @@ fn rank_program<T: Transport>(
 ) -> RankOutput {
     let (x, y, z) = plan.coords(world.rank());
     let (grid_comm, zcomm) = plan.cart_comms(&world);
+    let ctx = crate::solve2d::Ctx {
+        plan,
+        grid: &plan.grids[z],
+        comm: &grid_comm,
+        x,
+        y,
+        nrhs,
+        pb,
+        executor,
+    };
+    let naive = algorithm == Algorithm::New3dNaiveAllreduce;
     match (algorithm, arch) {
-        (Algorithm::Baseline3d, Arch::Cpu) => {
-            crate::baseline3d::run_rank(plan, &grid_comm, &zcomm, x, y, z, pb, nrhs, executor)
-        }
+        (Algorithm::Baseline3d, Arch::Cpu) => crate::baseline3d::run_rank(&ctx, &zcomm),
         (Algorithm::Baseline3d, Arch::Gpu) => {
             panic!("the baseline 3D algorithm has no GPU implementation (paper §3.4)")
         }
-        (alg, Arch::Cpu) => crate::new3d::run_rank(
-            plan,
-            &grid_comm,
-            &zcomm,
-            x,
-            y,
-            z,
-            pb,
-            nrhs,
-            alg != Algorithm::New3dFlat,
-            alg == Algorithm::New3dNaiveAllreduce,
-            executor,
-        ),
-        (alg, Arch::Gpu) => crate::gpusolve::run_rank(
-            plan,
-            &grid_comm,
-            &zcomm,
-            x,
-            y,
-            z,
-            pb,
-            nrhs,
-            alg == Algorithm::New3dNaiveAllreduce,
-            executor,
-        ),
+        (alg, Arch::Cpu) => {
+            crate::new3d::run_rank(&ctx, &zcomm, alg != Algorithm::New3dFlat, naive)
+        }
+        (_, Arch::Gpu) => crate::gpusolve::run_rank(&ctx, &zcomm, naive),
     }
 }
 

@@ -10,7 +10,7 @@
 //!   HBM-bandwidth-bound panel time, and pays a per-block overhead. The
 //!   numerics are executed for real.
 //! * **Multi-GPU solve** (Alg. 5): the same message-driven structure as the
-//!   CPU Alg. 3 — literally the same [`run_pass`] traversal over the same
+//!   CPU Alg. 3 — literally the same [`crate::schedule::run_pass`] traversal over the same
 //!   compiled [`PassSched`], with GPU cost hooks — but communication uses
 //!   GPU-initiated one-sided puts with NVLink intra-node vs Slingshot
 //!   inter-node cost (the §4.2.2 bandwidth cliff), and computation runs on
@@ -27,101 +27,65 @@
 //! exactly as the paper does (Alg. 1 lines 13–19).
 
 use crate::allreduce;
-use crate::arena::SolveArena;
+use crate::arena::{Ledger, SolveArena, SupVals};
 use crate::driver::{ExecutorKind, PhaseTimes};
 use crate::kernels;
+use crate::kernels::Targets;
 use crate::new3d::RankOutput;
 use crate::plan::Plan;
 use crate::schedule::{
-    run_pass, ColSched, PassEngine, PassSched, PassScratch, RecvEvent, RowSched, ScheduleKey,
+    run_pass_with, BlockSched, ColSched, PassEngine, PassSched, PassScratch, RecvEvent, RowSched,
+    ScheduleKey, SlotLayout, SCATTERED,
 };
-use crate::solve2d::Ledger;
+use crate::solve2d::{
+    apply_blocks, decode, diag_solve, pass_kinds, tag, Ctx, Payloads, EPOCH_MASK,
+};
 use simgrid::{Category, EventKind, GpuExecutor, GpuModel, SpanDetail, Transport};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const KIND_Y: u64 = 21 << 40;
-const KIND_LSUM: u64 = 22 << 40;
-const KIND_X: u64 = 23 << 40;
-const KIND_USUM: u64 = 24 << 40;
-const KIND_MASK: u64 = 0xff << 40;
-const SUP_MASK: u64 = (1 << 40) - 1;
-/// L pass = epoch 0, U pass = epoch 1 (see solve2d: ranks of a grid are
-/// not synchronized between passes, so receives match on the epoch bits).
-const EPOCH_MASK: u64 = !((1 << 48) - 1);
-
-#[inline]
-fn tag(epoch: u64, kind: u64, sup: u32) -> u64 {
-    (epoch << 48) | kind | sup as u64
-}
+/// The GPU passes' message kinds sit after the CPU engine's; L pass =
+/// epoch 0, U pass = epoch 1 (see solve2d).
+const KIND_BASE: u64 = 20;
 
 /// Run the proposed 3D SpTRSV with GPU 2D solves as the rank program of
-/// `(x, y, z)`. Single-GPU kernels when `Px · Py = 1`, NVSHMEM-style
-/// multi-GPU kernels otherwise.
+/// `(x, y, z)` (`ctx.comm` is the grid communicator, `zcomm` the z one).
+/// Single-GPU kernels when `Px · Py = 1`, NVSHMEM-style multi-GPU kernels
+/// otherwise.
 ///
-/// `executor` selects how the multi-GPU passes interpret their schedule
-/// (message-driven tree walk vs precompiled level sweep); the single-GPU
-/// column sweep is already a static program, so the choice is a no-op
-/// there.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rank<T: Transport>(
-    plan: &Plan,
-    grid_comm: &T,
-    zcomm: &T,
-    x: usize,
-    y: usize,
-    z: usize,
-    pb: &[f64],
-    nrhs: usize,
-    use_naive_allreduce: bool,
-    executor: ExecutorKind,
-) -> RankOutput {
-    let gpu = grid_comm
-        .model()
-        .gpu
-        .clone()
-        .expect("GPU solve requires a machine model with GPU parameters");
+/// `ctx.executor` selects how the multi-GPU passes interpret their
+/// schedule (message-driven tree walk vs precompiled level sweep); the
+/// single-GPU column sweep is already a static program, so the choice is
+/// a no-op there.
+pub fn run_rank<T: Transport>(ctx: &Ctx<T>, zcomm: &T, use_naive_allreduce: bool) -> RankOutput {
+    let (plan, comm, nrhs) = (ctx.plan, ctx.comm, ctx.nrhs);
+    let model = comm.model();
+    let gpu = model.gpu.as_ref();
+    let gpu = gpu.expect("GPU solve requires a machine model with GPU parameters");
     let single = plan.px * plan.py == 1;
     let sched = plan.schedule(ScheduleKey {
         baseline: false,
         tree_comm: true,
     });
-    let rs = &sched.ranks[plan.rank_of(x, y, z)];
+    let rs = &sched.ranks[plan.rank_of(ctx.x, ctx.y, ctx.grid.z)];
     let l_pass = rs.l_steps[0].pass.as_ref().expect("compiled L pass");
     let u_pass = rs.u_steps[0].pass.as_ref().expect("compiled U pass");
 
-    let t0 = grid_comm.now();
-    let mut y_vals: HashMap<u32, Vec<f64>> = HashMap::new();
-    let mut x_vals: HashMap<u32, Vec<f64>> = HashMap::new();
+    let t0 = comm.now();
+    let mut y_vals = SupVals::new(&rs.vals, nrhs);
+    let mut x_vals = SupVals::new(&rs.vals, nrhs);
     let mut arena = SolveArena::new();
-
-    if single {
-        single_gpu_l(
-            plan,
-            grid_comm,
-            &gpu,
-            l_pass,
-            z,
-            pb,
-            nrhs,
-            &mut y_vals,
-            &mut arena,
-        );
+    let pool = if single {
+        whole_row_pool(ctx, l_pass)
     } else {
-        multi_gpu_pass(
-            plan,
-            grid_comm,
-            &gpu,
-            l_pass,
-            z,
-            pb,
-            nrhs,
-            None,
-            &mut y_vals,
-            executor,
-        );
+        Vec::new()
+    };
+    if single {
+        single_gpu_l(ctx, gpu, (l_pass, &pool), &mut y_vals, &mut arena);
+    } else {
+        multi_gpu_pass(ctx, gpu, (l_pass, &rs.l_slots), None, &mut y_vals);
     }
-    let t1 = grid_comm.now();
+    let t1 = comm.now();
 
     // Inter-grid sparse allreduce runs over MPI on the host (paper: the
     // SparseAllReduce of Alg. 1 line 20 is implemented with MPI).
@@ -130,40 +94,17 @@ pub fn run_rank<T: Transport>(
     } else {
         allreduce::sparse_allreduce(plan, zcomm, &rs.zsteps, nrhs, &mut y_vals);
     }
-    let t2 = grid_comm.now();
+    let t2 = comm.now();
 
     if single {
-        single_gpu_u(
-            plan,
-            grid_comm,
-            &gpu,
-            l_pass,
-            nrhs,
-            &y_vals,
-            &mut x_vals,
-            &mut arena,
-        );
+        single_gpu_u(ctx, gpu, (l_pass, &pool), &y_vals, &mut x_vals, &mut arena);
     } else {
-        multi_gpu_pass(
-            plan,
-            grid_comm,
-            &gpu,
-            u_pass,
-            z,
-            pb,
-            nrhs,
-            Some(&y_vals),
-            &mut x_vals,
-            executor,
-        );
+        multi_gpu_pass(ctx, gpu, (u_pass, &rs.u_slots), Some(&y_vals), &mut x_vals);
     }
-    let t3 = grid_comm.now();
+    let t3 = comm.now();
 
-    let snap = grid_comm.time_snapshot();
-    let x_pieces = x_vals
-        .into_iter()
-        .filter(|(k, _)| plan.owner_xy(*k as usize) == (x, y))
-        .collect();
+    let snap = comm.time_snapshot();
+    let x_pieces = x_vals.pieces(|k| plan.owner_xy(k as usize) == (ctx.x, ctx.y));
 
     RankOutput {
         phases: PhaseTimes {
@@ -179,41 +120,69 @@ pub fn run_rank<T: Transport>(
     }
 }
 
-/// Single-GPU 2D L-solve (Alg. 4): the whole `L^z` on one device,
-/// interpreting the compiled column schedules in ascending order.
-#[allow(clippy::too_many_arguments)]
-fn single_gpu_l<T: Transport>(
-    plan: &Plan,
-    comm: &T,
-    gpu: &GpuModel,
-    pass: &PassSched,
-    z: usize,
-    pb: &[f64],
-    nrhs: usize,
-    y_vals: &mut HashMap<u32, Vec<f64>>,
-    arena: &mut SolveArena,
-) {
-    let sym = plan.fact.lu.sym();
-    let start = comm.now();
-    let t0 = start + gpu.kernel_launch;
-    let mut ex = GpuExecutor::new(gpu, t0);
-    // Setup: prefill every map slot and size the arena so the audited
-    // column sweep below never allocates.
-    let mut lsum: HashMap<u32, Vec<f64>> = HashMap::new();
-    let mut row_ready: HashMap<u32, f64> = HashMap::new();
-    let mut maxlen = 1;
-    for col in &pass.cols {
-        let w = sym.sup_width(col.sup as usize);
-        maxlen = maxlen.max(w * nrhs);
-        y_vals.entry(col.sup).or_insert_with(|| vec![0.0; w * nrhs]);
-        row_ready.entry(col.sup).or_insert(t0);
-        for b in &col.blocks {
-            let wb = sym.sup_width(b.sup as usize);
-            lsum.entry(b.sup).or_insert_with(|| vec![0.0; wb * nrhs]);
-            row_ready.entry(b.sup).or_insert(t0);
+/// Settle the rank clock to a single-GPU kernel's `end` and record its
+/// covering span: the whole pass runs on-device between two host clock
+/// reads, so `[start, end]` keeps the per-rank spans tiling the clock
+/// (the invariant the critical-path walk relies on).
+fn single_gpu_span<T: Transport>(comm: &T, start: f64, end: f64, epoch: u64, tasks: usize) {
+    comm.account(end - comm.now(), Category::Flop);
+    comm.advance_to(end);
+    let detail = SpanDetail::GpuPass {
+        epoch,
+        tasks: tasks as u64,
+    };
+    comm.trace_span(start, end, EventKind::Compute, Category::Flop, Some(detail));
+    comm.metric_inc("pass.spans", 1);
+}
+
+/// The L pass's scatter pool with each block's indices counted from the
+/// start of its row supernode `I` instead of its first row: the
+/// addressing a whole `lsum(I)` or `x(I)` takes on one device.
+fn whole_row_pool<T: Transport>(ctx: &Ctx<T>, pass: &PassSched) -> Vec<u32> {
+    let mut pool = pass.scatter.clone();
+    for c in &pass.cols {
+        for b in c.blocks.iter().filter(|b| b.dense_start == SCATTERED) {
+            let base = b.cover(ctx.plan, c.sup, true)[0];
+            let off = b.scatter_off as usize;
+            for t in &mut pool[off..off + (b.hi - b.lo) as usize] {
+                *t += base;
+            }
         }
     }
-    arena.ensure(2 * maxlen);
+    pool
+}
+
+/// Block `b` of column `col`'s addressing of its whole row (`pool` from
+/// [`whole_row_pool`]).
+fn whole_row<'a>(plan: &Plan, col: u32, b: &BlockSched, pool: &'a [u32]) -> Targets<'a> {
+    match b.targets(pool) {
+        Targets::Dense(d) => Targets::Dense(d + b.cover(plan, col, true)[0] as usize),
+        scatter => scatter,
+    }
+}
+
+/// Single-GPU 2D L-solve (Alg. 4): the whole `L^z` on one device,
+/// interpreting the compiled column schedules in ascending order.
+fn single_gpu_l<T: Transport>(
+    ctx: &Ctx<T>,
+    gpu: &GpuModel,
+    (pass, pool): (&PassSched, &[u32]),
+    y_vals: &mut SupVals,
+    arena: &mut SolveArena,
+) {
+    let (plan, nrhs) = (ctx.plan, ctx.nrhs);
+    let sym = plan.fact.lu.sym();
+    let start = ctx.comm.now();
+    let t0 = start + gpu.kernel_launch;
+    let mut ex = GpuExecutor::new(gpu, t0);
+    // Setup: prefill the readiness map and size the arena so the audited
+    // column sweep below never allocates. On one device every row of the
+    // pass is a column too, so `lsum` shares the `y` index.
+    let mut lsum = SupVals::new(y_vals.index(), nrhs);
+    let blocks = pass.cols.iter().flat_map(|c| &c.blocks);
+    let mut row_ready: HashMap<u32, f64> = blocks.map(|b| (b.sup, t0)).collect();
+    let maxw = pass.cols.iter().map(|c| sym.sup_width(c.sup as usize));
+    arena.ensure(2 * nrhs * maxw.max().unwrap_or(1));
 
     let audit = crate::audit::pass_scope();
     for col in &pass.cols {
@@ -223,99 +192,55 @@ fn single_gpu_l<T: Transport>(
         // Ready when every in-grid dependency task has finished.
         let ready = row_ready.get(&k).copied().unwrap_or(t0);
         // Numerics: diagonal solve + off-diagonal GEMVs of column K,
-        // written straight into the prefilled y slot.
-        let active = plan.rhs_active(z, ku);
+        // written straight into the y slot.
+        let active = plan.rhs_active(ctx.grid.z, ku);
         let len = w * nrhs;
         let (b_k, rhs) = arena.slices2(len, len);
-        kernels::masked_rhs_into(&plan.fact, ku, pb, nrhs, active, b_k);
-        let y_slot = y_vals.get_mut(&k).expect("y slot prefilled");
-        kernels::diag_solve_l_into(
-            &plan.fact,
-            ku,
-            b_k,
-            lsum.get(&k).map(|v| &v[..]),
-            nrhs,
-            rhs,
-            y_slot,
-        );
-        let y_k = &y_vals[&k];
-        let mut dur = gpu.panel_op_time(w, w, nrhs);
+        kernels::masked_rhs_into(&plan.fact, ku, ctx.pb, nrhs, active, b_k);
+        // A row no block reached folds `b − 0`, which is `b` bit for bit.
+        let y_slot = y_vals.slot(k);
+        kernels::diag_solve_l_into(&plan.fact, ku, b_k, Some(lsum.get(k)), nrhs, rhs, y_slot);
+        let y_k = y_vals.get(k);
         let panel = &plan.fact.lu.panel(ku).l_below;
         let r = sym.rows_below(ku).len();
         for b in &col.blocks {
+            let (lo, hi, tg) = (b.lo as usize, b.hi as usize, whole_row(plan, k, b, pool));
             let wb = sym.sup_width(b.sup as usize);
-            let acc = lsum.get_mut(&b.sup).expect("lsum slot prefilled");
-            kernels::apply_l(
-                panel,
-                r,
-                b.lo as usize,
-                b.hi as usize,
-                b.targets(&pass.scatter),
-                y_k,
-                w,
-                acc,
-                wb,
-                nrhs,
-            );
+            kernels::apply_l(panel, r, lo, hi, tg, y_k, w, lsum.slot(b.sup), wb, nrhs);
         }
-        dur += gpu.panel_op_time(col.total_rows as usize, w, nrhs);
+        let dur =
+            gpu.panel_op_time(w, w, nrhs) + gpu.panel_op_time(col.total_rows as usize, w, nrhs);
         let finish = ex.schedule(ready, dur);
         for b in &col.blocks {
             let e = row_ready.get_mut(&b.sup).expect("row_ready prefilled");
-            if finish > *e {
-                *e = finish;
-            }
+            *e = e.max(finish);
         }
     }
     drop(audit);
-    let end = ex.last_finish();
-    comm.account(end - comm.now(), Category::Flop);
-    comm.advance_to(end);
-    // One covering span per kernel: the whole pass runs on-device between
-    // two host clock reads, so [start, end] keeps the per-rank spans tiling
-    // the clock (the invariant the critical-path walk relies on).
-    comm.trace_span(
-        start,
-        end,
-        EventKind::Compute,
-        Category::Flop,
-        Some(SpanDetail::GpuPass {
-            epoch: 0,
-            tasks: pass.cols.len() as u64,
-        }),
-    );
-    comm.metric_inc("pass.spans", 1);
+    single_gpu_span(ctx.comm, start, ex.last_finish(), 0, pass.cols.len());
 }
 
 /// Single-GPU 2D U-solve (Alg. 4 mirror), pull-model tasks. Reuses the L
 /// pass's column schedules: the blocks of column `K` are exactly the
 /// dependency columns `J` of the U task for `K` (`block_range(K, J)` is
 /// the same symbolic range both triangles address).
-#[allow(clippy::too_many_arguments)]
 fn single_gpu_u<T: Transport>(
-    plan: &Plan,
-    comm: &T,
+    ctx: &Ctx<T>,
     gpu: &GpuModel,
-    pass: &PassSched,
-    nrhs: usize,
-    y_vals: &HashMap<u32, Vec<f64>>,
-    x_vals: &mut HashMap<u32, Vec<f64>>,
+    (pass, pool): (&PassSched, &[u32]),
+    y_vals: &SupVals,
+    x_vals: &mut SupVals,
     arena: &mut SolveArena,
 ) {
+    let (plan, nrhs) = (ctx.plan, ctx.nrhs);
     let sym = plan.fact.lu.sym();
-    let start = comm.now();
+    let start = ctx.comm.now();
     let t0 = start + gpu.kernel_launch;
     let mut ex = GpuExecutor::new(gpu, t0);
-    // Setup: prefill every slot so the audited sweep never allocates.
-    let mut finish: HashMap<u32, f64> = HashMap::with_capacity(pass.cols.len());
-    let mut maxlen = 1;
-    for col in &pass.cols {
-        let w = sym.sup_width(col.sup as usize);
-        maxlen = maxlen.max(w * nrhs);
-        finish.insert(col.sup, t0);
-        x_vals.entry(col.sup).or_insert_with(|| vec![0.0; w * nrhs]);
-    }
-    arena.ensure(2 * maxlen);
+    // Setup: prefill the finish map so the audited sweep never allocates.
+    let mut finish: HashMap<u32, f64> = pass.cols.iter().map(|c| (c.sup, t0)).collect();
+    let maxw = pass.cols.iter().map(|c| sym.sup_width(c.sup as usize));
+    arena.ensure(2 * nrhs * maxw.max().unwrap_or(1));
 
     let audit = crate::audit::pass_scope();
     for col in pass.cols.iter().rev() {
@@ -331,138 +256,68 @@ fn single_gpu_u<T: Transport>(
         // indexed lsum(J) (both are offsets within supernode J).
         let panel = &plan.fact.lu.panel(ku).u_right;
         for b in &col.blocks {
-            let wj = sym.sup_width(b.sup as usize);
-            kernels::apply_u(
-                panel,
-                w,
-                b.lo as usize,
-                b.hi as usize,
-                b.targets(&pass.scatter),
-                &x_vals[&b.sup],
-                wj,
-                usum,
-                nrhs,
-            );
-            dur += gpu.panel_op_time(w, (b.hi - b.lo) as usize, nrhs);
+            let (lo, hi, tg) = (b.lo as usize, b.hi as usize, whole_row(plan, k, b, pool));
+            let (x_j, wj) = (x_vals.get(b.sup), sym.sup_width(b.sup as usize));
+            kernels::apply_u(panel, w, lo, hi, tg, x_j, wj, usum, nrhs);
+            dur += gpu.panel_op_time(w, hi - lo, nrhs);
             ready = ready.max(finish[&b.sup]);
         }
-        let y_k = y_vals
-            .get(&k)
-            .expect("allreduce delivered y before the U-solve");
-        let x_slot = x_vals.get_mut(&k).expect("x slot prefilled");
-        kernels::diag_solve_u_into(&plan.fact, ku, y_k, Some(&*usum), nrhs, rhs, x_slot);
-        let f = ex.schedule(ready, dur);
-        *finish.get_mut(&k).expect("finish slot prefilled") = f;
+        let y_k = y_vals.get(k);
+        kernels::diag_solve_u_into(&plan.fact, ku, y_k, Some(&*usum), nrhs, rhs, x_vals.slot(k));
+        *finish.get_mut(&k).expect("finish slot prefilled") = ex.schedule(ready, dur);
     }
     drop(audit);
-    let end = ex.last_finish();
-    comm.account(end - comm.now(), Category::Flop);
-    comm.advance_to(end);
-    comm.trace_span(
-        start,
-        end,
-        EventKind::Compute,
-        Category::Flop,
-        Some(SpanDetail::GpuPass {
-            epoch: 1,
-            tasks: pass.cols.len() as u64,
-        }),
-    );
-    comm.metric_inc("pass.spans", 1);
+    single_gpu_span(ctx.comm, start, ex.last_finish(), 1, pass.cols.len());
 }
 
 /// Run one compiled pass with the NVSHMEM-style multi-GPU engine
 /// (Alg. 5) and settle the rank clock to the pass's last event.
-#[allow(clippy::too_many_arguments)]
-fn multi_gpu_pass<T: Transport>(
-    plan: &Plan,
-    comm: &T,
+fn multi_gpu_pass<'s, T: Transport>(
+    ctx: &Ctx<T>,
     gpu: &GpuModel,
-    pass: &PassSched,
-    z: usize,
-    pb: &[f64],
-    nrhs: usize,
-    vals_in: Option<&HashMap<u32, Vec<f64>>>,
-    vals_out: &mut HashMap<u32, Vec<f64>>,
-    executor: ExecutorKind,
+    (pass, slots): (&PassSched, &SlotLayout),
+    vals_in: Option<&SupVals<'s>>,
+    vals_out: &mut SupVals<'s>,
 ) {
+    let comm = ctx.comm;
     let start = comm.now();
     let t0 = start + gpu.kernel_launch;
-    let n_tasks = pass.cols.len() as u64;
-    // Setup mirrors the CPU engine's: prebuild every ledger slot, payload
-    // buffer, readiness entry, and FIFO route the steady-state loop will
-    // touch, so the audited interpreter region never allocates.
-    let sym = plan.fact.lu.sym();
-    let mut sums = Ledger::default();
-    let mut row_ready: HashMap<u32, f64> = HashMap::new();
-    let mut diag_bufs: HashMap<u32, Arc<[f64]>> = HashMap::with_capacity(pass.rows.len());
-    let mut partial_bufs: HashMap<u32, Arc<[f64]>> = HashMap::with_capacity(pass.rows.len());
+    // Setup mirrors the CPU engine's: prebuild every payload buffer,
+    // readiness entry, and FIFO route the steady-state loop will touch,
+    // so the audited interpreter region never allocates.
+    let mut sums = Ledger::new(slots, ctx.nrhs);
+    sums.begin_pass();
+    let payloads = Payloads::new(comm, ctx.plan, pass, ctx.nrhs);
     let mut arena = SolveArena::new();
-    let mut maxlen = 1;
-    for row in &pass.rows {
-        let len = sym.sup_width(row.sup as usize) * nrhs;
-        maxlen = maxlen.max(len);
-        row_ready.entry(row.sup).or_insert(t0);
-        match row.parent {
-            None => {
-                diag_bufs.insert(row.sup, vec![0.0; len].into());
-            }
-            Some(p) => {
-                partial_bufs.insert(row.sup, vec![0.0; len].into());
-                comm.warm_route(p as usize);
-            }
-        }
-        for &c in &row.children {
-            sums.accum(row.sup, Ledger::key_partial(c), len);
-        }
-    }
-    for col in &pass.cols {
-        let w = sym.sup_width(col.sup as usize);
-        vals_out
-            .entry(col.sup)
-            .or_insert_with(|| vec![0.0; w * nrhs]);
-        for b in &col.blocks {
-            let blen = sym.sup_width(b.sup as usize) * nrhs;
-            maxlen = maxlen.max(blen);
-            sums.accum(b.sup, Ledger::key_local(col.sup), blen);
-            row_ready.entry(b.sup).or_insert(t0);
-        }
-        for &c in &col.children {
-            comm.warm_route(c as usize);
-        }
-    }
-    arena.ensure(3 * maxlen);
+    arena.ensure(3 * payloads.maxlen);
+    let blocks = pass.cols.iter().flat_map(|c| &c.blocks).map(|b| b.sup);
+    let row_sups = pass.rows.iter().map(|r| r.sup).chain(blocks);
+    let row_ready: HashMap<u32, f64> = row_sups.map(|k| (k, t0)).collect();
     comm.metric_inc("pass.fmod_stalls", 0);
     let mut engine = GpuEngine {
-        plan,
-        comm,
+        ctx,
         gpu,
-        nrhs,
-        z,
         lower: pass.lower,
         epoch: pass.epoch,
         me_world: comm.world_rank(comm.rank()),
         t0,
         ex: GpuExecutor::new(gpu, t0),
+        pass,
         sums,
         row_ready,
         last_event: t0,
         avail: t0,
-        pb,
         vals_in,
         vals_out,
         arena,
-        diag_bufs,
-        partial_bufs,
+        payloads,
     };
-    match executor {
-        ExecutorKind::Tree => run_pass(&mut engine, pass),
-        ExecutorKind::Level => {
-            // Pass-local scratch: GPU passes run at most twice per solve,
-            // so there is no steady-state reuse to preserve here.
-            let mut scratch = PassScratch::new();
-            crate::levelexec::run_level_pass(&mut engine, pass, &mut scratch);
-        }
+    // Pass-local scratch: GPU passes run at most twice per solve, so there
+    // is no steady-state reuse to preserve here.
+    let mut scratch = PassScratch::new();
+    match ctx.executor {
+        ExecutorKind::Tree => run_pass_with(&mut engine, pass, &mut scratch),
+        ExecutorKind::Level => crate::levelexec::run_level_pass(&mut engine, pass, &mut scratch),
     }
     let end = engine.last_event.max(engine.ex.last_finish());
     let busy = engine.ex.busy_time();
@@ -475,7 +330,7 @@ fn multi_gpu_pass<T: Transport>(
     let mid = (start + busy).min(end);
     let detail = SpanDetail::GpuPass {
         epoch: pass.epoch,
-        tasks: n_tasks,
+        tasks: pass.cols.len() as u64,
     };
     comm.trace_span(start, mid, EventKind::Compute, Category::Flop, Some(detail));
     if end > mid {
@@ -484,114 +339,75 @@ fn multi_gpu_pass<T: Transport>(
     comm.metric_inc("pass.spans", 1);
 }
 
-/// GPU cost hooks for [`run_pass`]: fused column tasks on the bounded-lane
-/// executor, one-sided puts departing at the producing task's finish time,
-/// per-row readiness tracked as virtual timestamps.
-struct GpuEngine<'a, 'b, T: Transport> {
-    plan: &'a Plan,
-    comm: &'a T,
+/// GPU cost hooks for [`crate::schedule::run_pass`]: fused column tasks on
+/// the bounded-lane executor, one-sided puts departing at the producing
+/// task's finish time, per-row readiness tracked as virtual timestamps.
+struct GpuEngine<'a, 'b, 's, T: Transport> {
+    ctx: &'a Ctx<'a, T>,
     gpu: &'a GpuModel,
-    nrhs: usize,
-    z: usize,
     lower: bool,
     epoch: u64,
     me_world: usize,
     t0: f64,
     ex: GpuExecutor,
-    /// Partial sums (`lsum` in L, `usum` in U), pass-local, buffered per
-    /// contribution source for order-independent folding.
-    sums: Ledger,
+    pass: &'a PassSched,
+    /// Partial sums (`lsum` in L, `usum` in U), pass-local, one slot per
+    /// contribution for order-independent folding.
+    sums: Ledger<'a>,
     /// Earliest virtual time each row's dependencies are satisfied.
     row_ready: HashMap<u32, f64>,
     last_event: f64,
     /// Availability time of the vector most recently produced/received.
     avail: f64,
-    /// Global permuted RHS (L pass only).
-    pb: &'a [f64],
     /// `y` values from the allreduce (U pass only).
-    vals_in: Option<&'b HashMap<u32, Vec<f64>>>,
+    vals_in: Option<&'b SupVals<'s>>,
     /// Solved vectors: `y_vals` (L) or `x_vals` (U).
-    vals_out: &'b mut HashMap<u32, Vec<f64>>,
+    vals_out: &'b mut SupVals<'s>,
     /// Scratch for diagonal-solve temporaries, sized at pass setup.
     arena: SolveArena,
-    /// Prebuilt diagonal-solve result buffers (rooted trigger rows).
-    diag_bufs: HashMap<u32, Arc<[f64]>>,
-    /// Prebuilt reduction payload buffers (non-root trigger rows).
-    partial_bufs: HashMap<u32, Arc<[f64]>>,
+    payloads: Payloads,
 }
 
-impl<T: Transport> GpuEngine<'_, '_, T> {
+impl<T: Transport> GpuEngine<'_, '_, '_, T> {
     fn put(&self, depart: f64, dst: usize, t: u64, payload: &Arc<[f64]>) {
         let bytes = simgrid::envelope_bytes(payload.len());
-        let dst_world = self.comm.world_rank(dst);
+        let dst_world = self.ctx.comm.world_rank(dst);
         let (lat, wire) = self.gpu.put_cost(self.me_world, dst_world, bytes);
-        self.comm
-            .send_timed_shared(depart, lat + wire, dst, t, payload, Category::XyComm);
-    }
-
-    fn vec_kind(&self) -> u64 {
-        if self.lower {
-            KIND_Y
-        } else {
-            KIND_X
-        }
-    }
-
-    fn sum_kind(&self) -> u64 {
-        if self.lower {
-            KIND_LSUM
-        } else {
-            KIND_USUM
-        }
+        let cost = lat + wire;
+        let comm = self.ctx.comm;
+        comm.send_timed_shared(depart, cost, dst, t, payload, Category::XyComm);
     }
 }
 
-impl<T: Transport> PassEngine for GpuEngine<'_, '_, T> {
+impl<T: Transport> PassEngine for GpuEngine<'_, '_, '_, T> {
     fn solve_diag(&mut self, row: &RowSched) -> Arc<[f64]> {
-        let iu = row.sup as usize;
-        let sym = self.plan.fact.lu.sym();
-        let w = sym.sup_width(iu);
-        let len = w * self.nrhs;
+        let (ctx, nrhs) = (self.ctx, self.ctx.nrhs);
+        let w = ctx.plan.fact.lu.sym().sup_width(row.sup as usize);
         let ready = self.row_ready.get(&row.sup).copied().unwrap_or(self.t0);
         // Prebuilt and still uniquely owned: the kernel writes straight
         // into the buffer the puts below will share by refcount.
-        let mut out = self
-            .diag_bufs
-            .remove(&row.sup)
-            .expect("diagonal buffer prebuilt for rooted row");
+        let mut out = self.payloads.take(self.pass, row);
         let buf = Arc::get_mut(&mut out).expect("diagonal buffer still unique");
-        if self.lower {
-            // Diagonal thread block: y(I) from the masked RHS.
-            let active = self.plan.rhs_active(self.z, iu);
-            let (b_i, fold, rhs) = self.arena.slices3(len, len, len);
-            kernels::masked_rhs_into(&self.plan.fact, iu, self.pb, self.nrhs, active, b_i);
-            self.sums.fold_into(row.sup, fold);
-            kernels::diag_solve_l_into(&self.plan.fact, iu, b_i, Some(fold), self.nrhs, rhs, buf);
-        } else {
-            let (fold, rhs) = self.arena.slices2(len, len);
-            self.sums.fold_into(row.sup, fold);
-            let y_k = self
-                .vals_in
-                .expect("U pass has y values")
-                .get(&row.sup)
-                .expect("y present at diagonal owner");
-            kernels::diag_solve_u_into(&self.plan.fact, iu, y_k, Some(fold), self.nrhs, rhs, buf);
-        }
-        let f = self
-            .ex
-            .schedule(ready, self.gpu.panel_op_time(w, w, self.nrhs));
+        let y_k = (!self.lower).then(|| self.vals_in.expect("U pass has y values").get(row.sup));
+        let rhs = (ctx.pb, ctx.grid.z);
+        diag_solve(
+            ctx.plan,
+            rhs,
+            y_k,
+            row,
+            &self.sums,
+            &mut self.arena,
+            nrhs,
+            buf,
+        );
+        let f = self.ex.schedule(ready, self.gpu.panel_op_time(w, w, nrhs));
         self.avail = f;
         self.last_event = self.last_event.max(f);
         out
     }
 
     fn store_solved(&mut self, sup: u32, v: &[f64]) {
-        match self.vals_out.get_mut(&sup) {
-            Some(slot) => slot.copy_from_slice(v),
-            None => {
-                self.vals_out.insert(sup, v.to_vec());
-            }
-        }
+        self.vals_out.set(sup, v);
     }
 
     fn solved(&self, _sup: u32) -> Arc<[f64]> {
@@ -599,7 +415,7 @@ impl<T: Transport> PassEngine for GpuEngine<'_, '_, T> {
     }
 
     fn forward(&mut self, col: &ColSched, v: &Arc<[f64]>) {
-        let t = tag(self.epoch, self.vec_kind(), col.sup);
+        let t = tag(self.epoch, pass_kinds(KIND_BASE, self.lower).0, col.sup);
         for &child in &col.children {
             self.put(self.avail, child as usize, t, v);
         }
@@ -607,15 +423,10 @@ impl<T: Transport> PassEngine for GpuEngine<'_, '_, T> {
 
     fn send_partial(&mut self, row: &RowSched, parent: u32) {
         let ready = self.row_ready.get(&row.sup).copied().unwrap_or(self.t0);
-        let mut payload = self
-            .partial_bufs
-            .remove(&row.sup)
-            .expect("partial buffer prebuilt for non-root row");
-        self.sums.fold_into(
-            row.sup,
-            Arc::get_mut(&mut payload).expect("partial buffer still unique"),
-        );
-        let t = tag(self.epoch, self.sum_kind(), row.sup);
+        let mut payload = self.payloads.take(self.pass, row);
+        let buf = Arc::get_mut(&mut payload).expect("partial buffer still unique");
+        self.sums.fold_into(row.acc, buf);
+        let t = tag(self.epoch, pass_kinds(KIND_BASE, self.lower).1, row.sup);
         self.put(ready, parent as usize, t, &payload);
         self.last_event = self.last_event.max(ready);
     }
@@ -624,96 +435,61 @@ impl<T: Transport> PassEngine for GpuEngine<'_, '_, T> {
         if col.blocks.is_empty() {
             return;
         }
-        let sym = self.plan.fact.lu.sym();
-        let ju = col.sup as usize;
-        let wcol = sym.sup_width(ju);
+        let (plan, nrhs) = (self.ctx.plan, self.ctx.nrhs);
+        let (rows, wcol) = (
+            col.total_rows as usize,
+            plan.fact.lu.sym().sup_width(col.sup as usize),
+        );
         // Fused task: all my blocks of this column in one kernel.
         let dur = if self.lower {
-            self.gpu
-                .panel_op_time(col.total_rows as usize, wcol, self.nrhs)
+            self.gpu.panel_op_time(rows, wcol, nrhs)
         } else {
-            self.gpu
-                .panel_op_time(col.maxw as usize, col.total_rows as usize, self.nrhs)
+            self.gpu.panel_op_time(col.maxw as usize, rows, nrhs)
         };
         let f = self.ex.schedule(self.avail, dur);
-        for b in &col.blocks {
-            let wb = sym.sup_width(b.sup as usize);
-            let tg = b.targets(scatter);
-            let acc = self
-                .sums
-                .accum(b.sup, Ledger::key_local(col.sup), wb * self.nrhs);
-            if self.lower {
-                let panel = &self.plan.fact.lu.panel(ju).l_below;
-                let r = sym.rows_below(ju).len();
-                kernels::apply_l(
-                    panel,
-                    r,
-                    b.lo as usize,
-                    b.hi as usize,
-                    tg,
-                    v,
-                    wcol,
-                    acc,
-                    wb,
-                    self.nrhs,
-                );
-            } else {
-                let panel = &self.plan.fact.lu.panel(b.sup as usize).u_right;
-                kernels::apply_u(
-                    panel,
-                    wb,
-                    b.lo as usize,
-                    b.hi as usize,
-                    tg,
-                    v,
-                    wcol,
-                    acc,
-                    self.nrhs,
-                );
-            }
-            let e = self.row_ready.get_mut(&b.sup).expect("row_ready prefilled");
-            if f > *e {
-                *e = f;
-            }
-        }
+        let row_ready = &mut self.row_ready;
+        apply_blocks(
+            plan,
+            self.lower,
+            col,
+            v,
+            scatter,
+            &mut self.sums,
+            nrhs,
+            |b, _| {
+                let e = row_ready.get_mut(&b.sup).expect("row_ready prefilled");
+                *e = e.max(f);
+            },
+        );
     }
 
     fn add_partial(&mut self, row: &RowSched, src: u32, payload: &[f64]) {
-        self.sums.add(row.sup, Ledger::key_partial(src), payload);
+        self.sums.add_partial(row, src, payload);
         let e = self.row_ready.entry(row.sup).or_insert(self.t0);
-        if self.avail > *e {
-            *e = self.avail;
-        }
+        *e = e.max(self.avail);
     }
 
     fn on_duplicate_dropped(&mut self, _ev: &RecvEvent) {
         // GPU passes have no per-message receive span to flag; the drop
         // still counts in the metrics registry.
-        self.comm.mark_last_dropped_duplicate();
+        self.ctx.comm.mark_last_dropped_duplicate();
     }
 
     fn on_fmod_stall(&mut self, _row: &RowSched, _outstanding: u32) {
-        self.comm.metric_inc("pass.fmod_stalls", 1);
+        self.ctx.comm.metric_inc("pass.fmod_stalls", 1);
     }
 
     fn recv(&mut self, _epoch: u64) -> RecvEvent {
-        let msg = self.comm.recv_raw_tag_masked(EPOCH_MASK, self.epoch << 48);
+        let comm = self.ctx.comm;
+        let msg = comm.recv_raw_tag_masked(EPOCH_MASK, self.epoch << 48);
         // recv_raw bypasses the clock-charging path, so count the delivery
         // here to keep msgs.received comparable across CPU and GPU solvers.
-        self.comm.metric_inc("msgs.received", 1);
-        let sup = (msg.tag & SUP_MASK) as u32;
-        let kind = msg.tag & KIND_MASK;
+        comm.metric_inc("msgs.received", 1);
+        let (vector, sup) = decode(msg.tag, pass_kinds(KIND_BASE, self.lower));
         self.avail = msg.arrival;
         self.last_event = self.last_event.max(msg.arrival);
-        let is_vec = if kind == self.vec_kind() {
-            true
-        } else if kind == self.sum_kind() {
-            false
-        } else {
-            unreachable!("unexpected kind in GPU pass");
-        };
         RecvEvent {
-            vector: is_vec,
+            vector,
             sup,
             src: msg.src as u32,
             payload: msg.payload,

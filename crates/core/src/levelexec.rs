@@ -132,12 +132,16 @@ mod tests {
                     fmod0: 0,
                     parent: None,
                     children: vec![],
+                    acc: 0,
+                    part: 0,
                 },
                 RowSched {
                     sup: 9,
                     fmod0: 1,
                     parent: Some(3),
                     children: vec![1],
+                    acc: 1,
+                    part: 0,
                 },
             ],
             ext_roots: vec![],
@@ -173,6 +177,8 @@ mod tests {
                 fmod0: 2,
                 parent: Some(2),
                 children: vec![1, 4],
+                acc: 0,
+                part: 0,
             }],
             ext_roots: vec![],
             scatter: vec![],

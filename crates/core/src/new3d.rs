@@ -11,10 +11,9 @@
 //! lists were resolved at plan time, so repeated solves touch none of it.
 
 use crate::allreduce::{naive_allreduce, sparse_allreduce};
-use crate::driver::{ExecutorKind, PhaseTimes};
-use crate::plan::Plan;
+use crate::driver::PhaseTimes;
 use crate::schedule::{RankSchedule, ScheduleKey};
-use crate::solve2d::{l_solve_pass, u_solve_pass, Ctx, SolveState};
+use crate::solve2d::{solve_pass, Ctx, SolveState};
 use simgrid::{Category, Transport};
 
 /// Per-rank output of a distributed solve.
@@ -51,45 +50,27 @@ fn snap<T: Transport>(comm: &T) -> (f64, f64, f64) {
     )
 }
 
-/// Run the proposed 3D SpTRSV as the rank program of world rank
-/// `world.rank()`. `grid_comm` must rank processes as `x + px·y`; `zcomm`
-/// ranks the `Pz` grids at fixed `(x, y)` by `z`.
-#[allow(clippy::too_many_arguments)]
+/// Run the proposed 3D SpTRSV as the rank program of `(ctx.x, ctx.y,
+/// ctx.grid.z)`. `ctx.comm` must rank the grid's processes as `x + px·y`;
+/// `zcomm` ranks the `Pz` grids at fixed `(x, y)` by `z`.
 pub fn run_rank<T: Transport>(
-    plan: &Plan,
-    grid_comm: &T,
+    ctx: &Ctx<T>,
     zcomm: &T,
-    x: usize,
-    y: usize,
-    z: usize,
-    pb: &[f64],
-    nrhs: usize,
     tree_comm: bool,
     use_naive_allreduce: bool,
-    executor: ExecutorKind,
 ) -> RankOutput {
-    let grid = &plan.grids[z];
+    let (plan, grid_comm, nrhs) = (ctx.plan, ctx.comm, ctx.nrhs);
     let sched = plan.schedule(ScheduleKey {
         baseline: false,
         tree_comm,
     });
-    let rs: &RankSchedule = &sched.ranks[plan.rank_of(x, y, z)];
-    let ctx = Ctx {
-        plan,
-        grid,
-        comm: grid_comm,
-        x,
-        y,
-        nrhs,
-        pb,
-        executor,
-    };
-    let mut state = SolveState::default();
+    let rs: &RankSchedule = &sched.ranks[plan.rank_of(ctx.x, ctx.y, ctx.grid.z)];
+    let mut state = SolveState::new(rs, nrhs);
 
     let (t0, b0, z0) = snap(grid_comm);
     for step in &rs.l_steps {
         if let Some(pass) = &step.pass {
-            l_solve_pass(&ctx, pass, &mut state);
+            solve_pass(ctx, pass, &mut state);
         }
     }
     let (t1, b1, _) = snap(grid_comm);
@@ -106,17 +87,14 @@ pub fn run_rank<T: Transport>(
 
     for step in &rs.u_steps {
         if let Some(pass) = &step.pass {
-            u_solve_pass(&ctx, pass, &mut state);
+            solve_pass(ctx, pass, &mut state);
         }
     }
     let (t3, b3, z3) = snap(grid_comm);
 
     let x_pieces = state
         .x_vals
-        .iter()
-        .filter(|(&k, _)| plan.owner_xy(k as usize) == (x, y))
-        .map(|(&k, v)| (k, v.clone()))
-        .collect();
+        .pieces(|k| plan.owner_xy(k as usize) == (ctx.x, ctx.y));
 
     RankOutput {
         phases: PhaseTimes {

@@ -15,13 +15,18 @@
 //! One schedule is compiled per [`ScheduleKey`] (algorithm family ×
 //! communication shape) and cached inside the plan; ranks are compiled
 //! independently and in parallel.
+//!
+//! The compiler also lays out each rank's flat solve state: a dense
+//! supernode index for its solved values ([`SupIndex`]) and one
+//! accumulator slot per partial-sum contribution of each phase
+//! ([`SlotLayout`]), so the engines only index, never hash or insert.
 
 use crate::kernels;
 use crate::plan::{GridSet, Plan, SupSet, ZTrim};
 use crate::solve2d::{member_list, tree_links};
 use ordering::levels::{level_sets, ChainPolicy, LevelSets};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Baseline inter-grid tags (`TAG + lev` stamped at compile time).
@@ -44,15 +49,21 @@ pub struct ScheduleKey {
 /// contiguous run, use the scatter pool.
 pub const SCATTERED: u32 = u32::MAX;
 
+/// Sentinel in [`BlockSched::row`]: the block's target is not a trigger
+/// row of this pass (a baseline ancestor, reduced in a later pass).
+pub const NO_ROW: u32 = u32::MAX;
+
 /// One local block of a column, with its addressing precompiled: the
 /// symbolic block range resolved, and either a dense contiguous-run offset
 /// or an index list baked into the pass's scatter pool at compile time.
-/// For L passes the indices address the *target* `lsum(I)`; for U passes
-/// they address the *source* `x(J)` — both are `rows[q] − sup_start`.
+/// For L passes the indices address the *target*, the block's `lsum(I)`
+/// slot, relative to its first row (`rows[q] − rows[lo]`, see
+/// [`BlockSched::cover`]); for U passes they address the *source* `x(J)`
+/// (`rows[q] − sup_start(J)`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BlockSched {
-    /// The other supernode of the block (trigger row for L, source column
-    /// for U).
+    /// The row supernode the block accumulates into (`I` of `L(I, K)` in
+    /// L passes, `K` of `U(K, J)` in U passes).
     pub sup: u32,
     /// Row-position range `[lo, hi)` within `rows_below` of the panel.
     pub lo: u32,
@@ -64,9 +75,27 @@ pub struct BlockSched {
     /// Offset of this block's `hi − lo` indices in [`PassSched::scatter`]
     /// (meaningful only when `dense_start == SCATTERED`).
     pub scatter_off: u32,
+    /// The block's accumulator slot in its phase's [`SlotLayout`].
+    pub slot: u32,
+    /// Index of the target row in [`PassSched::rows`], or [`NO_ROW`].
+    pub row: u32,
 }
 
 impl BlockSched {
+    /// The part `[first element, elements]` of its row this block, of
+    /// column `col`, accumulates into: an L block spans its first to its
+    /// last row; a U block covers all of `K`.
+    pub fn cover(&self, plan: &Plan, col: u32, lower: bool) -> [u32; 2] {
+        let sym = plan.fact.lu.sym();
+        if lower {
+            let rows = &sym.rows_below(col as usize)[self.lo as usize..self.hi as usize];
+            let start = sym.sup_cols(self.sup as usize).start as u32;
+            [rows[0] - start, rows[rows.len() - 1] - rows[0] + 1]
+        } else {
+            [0, sym.sup_width(self.sup as usize) as u32]
+        }
+    }
+
     /// The kernel addressing of this block, borrowing the pass pool.
     #[inline]
     pub fn targets<'a>(&self, pool: &'a [u32]) -> kernels::Targets<'a> {
@@ -105,10 +134,14 @@ pub struct RowSched {
     pub fmod0: u32,
     /// Reduction parent (grid rank); `None` at the diagonal owner.
     pub parent: Option<u32>,
-    /// Reduction children (grid ranks) whose partials arrive here. Solvers
-    /// use this to pre-create the per-source accumulator slots, so the
-    /// steady-state message loop never allocates.
+    /// Reduction children (grid ranks) whose partials arrive here,
+    /// ascending.
     pub children: Vec<u32>,
+    /// Index of this row in its phase's [`SlotLayout::rows`].
+    pub acc: u32,
+    /// Slot of the partial from `children[0]`; child `j`'s slot lies `j`
+    /// row widths further on.
+    pub part: u32,
 }
 
 /// One compiled 2D solve pass (the unit both CPU and GPU interpret).
@@ -142,12 +175,14 @@ pub struct PassSched {
 }
 
 impl PassSched {
+    /// Index into `cols` of column `sup`, if this rank knows the column.
+    pub fn col_index(&self, sup: u32) -> Option<usize> {
+        self.cols.binary_search_by_key(&sup, |c| c.sup).ok()
+    }
+
     /// Column schedule of `sup`, if this rank knows the column.
     pub fn col(&self, sup: u32) -> Option<&ColSched> {
-        self.cols
-            .binary_search_by_key(&sup, |c| c.sup)
-            .ok()
-            .map(|i| &self.cols[i])
+        self.col_index(sup).map(|i| &self.cols[i])
     }
 
     /// Index into `rows` of trigger row `sup`.
@@ -175,6 +210,9 @@ pub struct ZExchange {
     pub send: bool,
     /// Supernodes packed into the buffer, in order.
     pub sups: Vec<u32>,
+    /// Receiving L-phase exchanges: the `lsum` slot of each listed
+    /// supernode's piece, parallel to `sups`. Empty otherwise.
+    pub slots: Vec<u32>,
 }
 
 /// One baseline step: an optional 2D pass plus an optional z exchange.
@@ -232,6 +270,177 @@ pub struct RankSchedule {
     pub zsteps: Vec<Option<ZStep>>,
     /// Naive-allreduce pack lists, root-first (ablation variant).
     pub naive: Vec<NaiveNode>,
+    /// Dense index of every supernode this rank holds a `y` or `x` for.
+    pub vals: SupIndex,
+    /// Accumulator slots of the L phase's partial sums `lsum`.
+    pub l_slots: SlotLayout,
+    /// Accumulator slots of the U phase's partial sums `usum`.
+    pub u_slots: SlotLayout,
+}
+
+/// A rank's dense local supernode index: the offset table of a
+/// [`crate::arena::SupVals`] slab.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SupIndex {
+    /// Indexed supernodes, ascending.
+    pub sups: Vec<u32>,
+    /// Prefix widths: `sups[i]` owns `off[i]..off[i + 1]`, times `nrhs`.
+    pub off: Vec<u32>,
+}
+
+/// One row of a phase's partial-sum slab. Its `n` slots sit side by side
+/// from `off` in ascending ledger-key order: local column blocks, then
+/// reduction-child partials, then baseline z-exchange pieces.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SlotRow {
+    /// Row supernode.
+    pub sup: u32,
+    /// First slot, in `f64`s per right-hand side.
+    pub off: u32,
+    /// Index of the first slot in [`SlotLayout::cover`].
+    pub slot: u32,
+    /// Slot count.
+    pub n: u32,
+    /// Index, in phase order, of the first pass writing a local or child
+    /// slot of the row; `u32::MAX` when only z-exchanges do.
+    pub first_pass: u32,
+}
+
+/// Accumulator-slot layout of one phase (the L phase's `lsum` persists
+/// across all of the baseline's L passes, so slots are per phase; the
+/// proposed algorithm has one pass per phase).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SlotLayout {
+    /// Rows ascending by supernode; their slot ranges tile `[0, width)`.
+    pub rows: Vec<SlotRow>,
+    /// The part of its row each slot covers, in slab order: `[first
+    /// element, elements]`. An L block's slot spans only the rows the
+    /// block touches; every other slot covers the whole row.
+    pub cover: Vec<[u32; 2]>,
+    /// Slab width in `f64`s per right-hand side.
+    pub width: u32,
+}
+
+impl SlotLayout {
+    /// Key of a local block of column `col`. Keys order a row's slots;
+    /// the kinds never collide since `col < 2^32`.
+    pub fn key_local(col: u32) -> u64 {
+        col as u64
+    }
+
+    /// Key of a reduction partial from grid rank `src`.
+    pub fn key_partial(src: u32) -> u64 {
+        (1 << 32) | src as u64
+    }
+
+    /// Key of a baseline z-exchange piece carried under `tag`.
+    pub fn key_exchange(tag: u64) -> u64 {
+        (2 << 32) | (tag & 0xffff)
+    }
+
+    /// Index into `rows` of row `sup`.
+    pub fn find(&self, sup: u32) -> Option<usize> {
+        self.rows.binary_search_by_key(&sup, |r| r.sup).ok()
+    }
+
+    /// Lay out the slots of one phase's `steps` and stamp them into the
+    /// blocks, rows and (L) receiving exchanges: one slot per key a
+    /// contribution can arrive under.
+    fn compile(plan: &Plan, steps: &mut [SolveStep], lower: bool) -> SlotLayout {
+        let sym = plan.fact.lu.sym();
+        let whole = |sup: u32| [0, sym.sup_width(sup as usize) as u32];
+        // Every (row, key, cover) a contribution arrives under, and every
+        // row with the first pass that writes it.
+        let mut keys: Vec<(u32, u64, [u32; 2])> = Vec::new();
+        let mut rows: Vec<(u32, u32)> = Vec::new();
+        let into_lsum = |x: &ZExchange| lower && !x.send;
+        for (p, pass) in steps.iter().filter_map(|s| s.pass.as_ref()).enumerate() {
+            for c in &pass.cols {
+                for b in &c.blocks {
+                    keys.push((b.sup, Self::key_local(c.sup), b.cover(plan, c.sup, lower)));
+                    rows.push((b.sup, p as u32));
+                }
+            }
+            for r in &pass.rows {
+                let partials = r.children.iter().map(|&c| Self::key_partial(c));
+                keys.extend(partials.map(|k| (r.sup, k, whole(r.sup))));
+                let first = if r.children.is_empty() {
+                    u32::MAX
+                } else {
+                    p as u32
+                };
+                rows.push((r.sup, first));
+            }
+        }
+        for x in steps.iter().filter_map(|s| s.exchange.as_ref()) {
+            if !into_lsum(x) {
+                continue;
+            }
+            keys.extend(
+                x.sups
+                    .iter()
+                    .map(|&s| (s, Self::key_exchange(x.tag), whole(s))),
+            );
+            rows.extend(x.sups.iter().map(|&s| (s, u32::MAX)));
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        // Sorted by (sup, pass): the first entry of a row is its earliest.
+        rows.sort_unstable();
+        rows.dedup_by_key(|r| r.0);
+
+        let mut layout = SlotLayout {
+            rows: Vec::with_capacity(rows.len()),
+            cover: Vec::with_capacity(keys.len()),
+            width: 0,
+        };
+        let mut key_off = Vec::with_capacity(keys.len());
+        for (sup, first_pass) in rows {
+            let (off, slot) = (layout.width, layout.cover.len());
+            for &(_, _, cover) in keys[slot..].iter().take_while(|k| k.0 == sup) {
+                key_off.push(layout.width);
+                layout.width += cover[1];
+                layout.cover.push(cover);
+            }
+            layout.rows.push(SlotRow {
+                sup,
+                off,
+                slot: slot as u32,
+                n: (layout.cover.len() - slot) as u32,
+                first_pass,
+            });
+        }
+        let slot = |sup: u32, key: u64| key_off[keys.partition_point(|k| (k.0, k.1) < (sup, key))];
+
+        for pass in steps.iter_mut().filter_map(|s| s.pass.as_mut()) {
+            let PassSched { cols, rows, .. } = pass;
+            for c in cols.iter_mut() {
+                for b in &mut c.blocks {
+                    b.slot = slot(b.sup, Self::key_local(c.sup));
+                    b.row = rows
+                        .binary_search_by_key(&b.sup, |r| r.sup)
+                        .map_or(NO_ROW, |i| i as u32);
+                }
+            }
+            for r in rows.iter_mut() {
+                r.acc = layout.find(r.sup).expect("row laid out") as u32;
+                if let Some(&c) = r.children.first() {
+                    r.part = slot(r.sup, Self::key_partial(c));
+                }
+            }
+        }
+        for x in steps.iter_mut().filter_map(|s| s.exchange.as_mut()) {
+            if !into_lsum(x) {
+                continue;
+            }
+            x.slots = x
+                .sups
+                .iter()
+                .map(|&s| slot(s, Self::key_exchange(x.tag)))
+                .collect();
+        }
+        layout
+    }
 }
 
 /// A compiled schedule: one [`RankSchedule`] per world rank.
@@ -337,7 +546,7 @@ fn compile_rank(plan: &Plan, key: ScheduleKey, rank: usize, levels: &FactorLevel
     let grid = &plan.grids[z];
     let d = plan.depth;
 
-    let (l_steps, u_steps) = if key.baseline {
+    let (mut l_steps, mut u_steps) = if key.baseline {
         compile_baseline_steps(plan, grid, x, y, z, levels)
     } else {
         // Under the live trim the passes are scoped to the grid's live
@@ -396,32 +605,21 @@ fn compile_rank(plan: &Plan, key: ScheduleKey, rank: usize, levels: &FactorLevel
 
     // The inter-grid roles are key-independent (the allreduce variants
     // are selected at run time) and cheap; compile them always.
-    let zsteps = (0..d)
+    let zsteps: Vec<Option<ZStep>> = (0..d)
         .map(|l| {
-            let m = z % (1 << (l + 1));
-            if m == (1 << l) {
-                let (sups, dense_doubles) = shared_sups(plan, grid, l, x, y, z);
-                Some(ZStep {
-                    peer: (z - (1 << l)) as u32,
-                    to_smaller: true,
-                    sups,
-                    dense_doubles,
-                })
-            } else if m == 0 {
-                let (sups, dense_doubles) = shared_sups(plan, grid, l, x, y, z + (1 << l));
-                Some(ZStep {
-                    peer: (z + (1 << l)) as u32,
-                    to_smaller: false,
-                    sups,
-                    dense_doubles,
-                })
-            } else {
-                None
-            }
+            let (peer, to_smaller) = partner(z, l)?;
+            let zhi = if to_smaller { z } else { z + (1 << l) };
+            let (sups, dense_doubles) = shared_sups(plan, grid, l, x, y, zhi);
+            Some(ZStep {
+                peer,
+                to_smaller,
+                sups,
+                dense_doubles,
+            })
         })
         .collect();
     let sym = plan.fact.lu.sym();
-    let naive = grid
+    let naive: Vec<NaiveNode> = grid
         .path
         .iter()
         .take(d)
@@ -457,11 +655,50 @@ fn compile_rank(plan: &Plan, key: ScheduleKey, rank: usize, levels: &FactorLevel
         })
         .collect();
 
+    let l_slots = SlotLayout::compile(plan, &mut l_steps, true);
+    let u_slots = SlotLayout::compile(plan, &mut u_steps, false);
+    // Solved values: every column a pass stores, every allreduce piece and
+    // every piece the baseline's U exchanges move.
+    let mut sups: Vec<u32> = l_steps
+        .iter()
+        .chain(&u_steps)
+        .filter_map(|s| s.pass.as_ref())
+        .flat_map(|p| p.cols.iter().map(|c| c.sup))
+        .chain(
+            u_steps
+                .iter()
+                .filter_map(|s| s.exchange.as_ref())
+                .flat_map(|x| x.sups.iter().copied()),
+        )
+        .chain(zsteps.iter().flatten().flat_map(|s| s.sups.iter().copied()))
+        .chain(naive.iter().flat_map(|n| n.sups.iter().copied()))
+        .collect();
+    sups.sort_unstable();
+    sups.dedup();
+    let mut off = Vec::with_capacity(sups.len() + 1);
+    off.push(0u32);
+    for &k in &sups {
+        off.push(off[off.len() - 1] + sym.sup_width(k as usize) as u32);
+    }
+
     RankSchedule {
         l_steps,
         u_steps,
         zsteps,
         naive,
+        vals: SupIndex { sups, off },
+        l_slots,
+        u_slots,
+    }
+}
+
+/// Grid `z`'s partner at pairwise step `step` of a binomial z-tree, and
+/// whether `z` is the larger of the pair; `None` when it sits out.
+fn partner(z: usize, step: usize) -> Option<(u32, bool)> {
+    match z % (2 << step) {
+        m if m == 1 << step => Some(((z - (1 << step)) as u32, true)),
+        0 => Some(((z + (1 << step)) as u32, false)),
+        _ => None,
     }
 }
 
@@ -542,32 +779,11 @@ fn compile_baseline_steps(
         };
         let exchange = (lev > 0)
             .then(|| {
-                let step = d - lev;
-                let sups: Vec<u32> = grid
-                    .path
-                    .iter()
-                    .take(lev)
-                    .flat_map(|&t| plan.node_supers(t))
-                    .filter(|&i| i as usize % plan.px == x)
-                    .collect();
-                let m = z % (1 << (step + 1));
-                if m == (1 << step) {
-                    Some(ZExchange {
-                        peer: (z - (1 << step)) as u32,
-                        tag: TAG_ZRED + lev as u64,
-                        send: true,
-                        sups,
-                    })
-                } else if m == 0 {
-                    Some(ZExchange {
-                        peer: (z + (1 << step)) as u32,
-                        tag: TAG_ZRED + lev as u64,
-                        send: false,
-                        sups,
-                    })
-                } else {
-                    None
-                }
+                exchange(z, d - lev, TAG_ZRED + lev as u64, true, || {
+                    let ancestors = grid.path.iter().take(lev);
+                    let sups = ancestors.flat_map(|&t| plan.node_supers(t));
+                    sups.filter(|&i| i as usize % plan.px == x).collect()
+                })
             })
             .flatten();
         l_steps.push(SolveStep { pass, exchange });
@@ -609,37 +825,36 @@ fn compile_baseline_steps(
         };
         let exchange = (lev < d)
             .then(|| {
-                let step = d - lev - 1;
-                let sups: Vec<u32> = grid
-                    .path
-                    .iter()
-                    .take(lev + 1)
-                    .flat_map(|&t| plan.node_supers(t))
-                    .filter(|&k| plan.owner_xy(k as usize) == (x, y))
-                    .collect();
-                let m = z % (1 << (step + 1));
-                if m == 0 {
-                    Some(ZExchange {
-                        peer: (z + (1 << step)) as u32,
-                        tag: TAG_ZBC + lev as u64,
-                        send: true,
-                        sups,
-                    })
-                } else if m == (1 << step) {
-                    Some(ZExchange {
-                        peer: (z - (1 << step)) as u32,
-                        tag: TAG_ZBC + lev as u64,
-                        send: false,
-                        sups,
-                    })
-                } else {
-                    None
-                }
+                exchange(z, d - lev - 1, TAG_ZBC + lev as u64, false, || {
+                    let solved = grid.path.iter().take(lev + 1);
+                    let sups = solved.flat_map(|&t| plan.node_supers(t));
+                    sups.filter(|&k| plan.owner_xy(k as usize) == (x, y))
+                        .collect()
+                })
             })
             .flatten();
         u_steps.push(SolveStep { pass, exchange });
     }
     (l_steps, u_steps)
+}
+
+/// The baseline's pairwise exchange at `step` under `tag`: the larger grid
+/// of the pair sends when `up` (the reduce), the smaller otherwise.
+fn exchange(
+    z: usize,
+    step: usize,
+    tag: u64,
+    up: bool,
+    sups: impl FnOnce() -> Vec<u32>,
+) -> Option<ZExchange> {
+    let (peer, upper) = partner(z, step)?;
+    Some(ZExchange {
+        peer,
+        tag,
+        send: upper == up,
+        sups: sups(),
+        slots: Vec::new(),
+    })
 }
 
 impl PassSched {
@@ -663,65 +878,15 @@ impl PassSched {
         levels: &LevelSets,
     ) -> PassSched {
         let sym = plan.fact.lu.sym();
-        let (px, py) = (plan.px, plan.py);
+        let py = plan.py;
         let mut cols = Vec::new();
         let mut scatter = Vec::new();
         let mut expected = 0u32;
-
         for &k in cols_in {
-            let ku = k as usize;
-            if ku % py != y {
-                continue;
+            if let Some(c) = compile_col(plan, k, true, scope, (x, y), tree_comm, &mut scatter) {
+                expected += u32::from(!c.is_root);
+                cols.push(c);
             }
-            let members = member_list(
-                ku % px,
-                sym.blocks_below(ku)
-                    .iter()
-                    .filter(|&&i| scope.contains(i as usize))
-                    .map(|&i| i as usize % px),
-            );
-            let Some(links) = tree_links(&members, x, tree_comm) else {
-                continue;
-            };
-            let mut blocks = Vec::new();
-            let mut total_rows = 0u32;
-            let mut maxw = 1u32;
-            for &i in sym.blocks_below(ku) {
-                if i as usize % px == x && scope.contains(i as usize) {
-                    let (lo, hi) = kernels::block_range(&plan.fact, ku, i as usize);
-                    let (dense_start, scatter_off) = block_addr(
-                        sym.rows_below(ku),
-                        lo,
-                        hi,
-                        sym.sup_cols(i as usize).start,
-                        &mut scatter,
-                    );
-                    blocks.push(BlockSched {
-                        sup: i,
-                        lo: lo as u32,
-                        hi: hi as u32,
-                        dense_start,
-                        scatter_off,
-                    });
-                    total_rows += (hi - lo) as u32;
-                    maxw = maxw.max(sym.sup_width(i as usize) as u32);
-                }
-            }
-            if !links.is_root {
-                expected += 1;
-            }
-            cols.push(ColSched {
-                sup: k,
-                children: links
-                    .children
-                    .iter()
-                    .map(|&r| (r + px * y) as u32)
-                    .collect(),
-                is_root: links.is_root,
-                blocks,
-                total_rows,
-                maxw,
-            });
         }
 
         let rows = compile_rows(
@@ -774,95 +939,24 @@ impl PassSched {
         levels: &LevelSets,
     ) -> PassSched {
         let sym = plan.fact.lu.sym();
-        let (px, py) = (plan.px, plan.py);
+        let py = plan.py;
         let mut cols = Vec::new();
         let mut scatter = Vec::new();
         let mut ext_roots = Vec::new();
         let mut expected = 0u32;
 
-        let push_col = |j: u32,
-                        is_ext: bool,
-                        cols: &mut Vec<ColSched>,
-                        scatter: &mut Vec<u32>,
-                        expected: &mut u32,
-                        ext_roots: &mut Vec<u32>| {
-            let ju = j as usize;
-            if ju % py != y {
-                return;
-            }
+        let all = rows_in.iter().map(|&j| (j, false));
+        for (j, is_ext) in all.chain(ext.iter().map(|&j| (j, true))) {
             // Receivers of x(J): ranks owning U(K, J) with K solved here.
-            let members = member_list(
-                ju % px,
-                sym.blocks_left(ju)
-                    .iter()
-                    .filter(|&&k| row_set.contains(k as usize))
-                    .map(|&k| k as usize % px),
-            );
-            let Some(links) = tree_links(&members, x, tree_comm) else {
-                return;
+            let Some(c) = compile_col(plan, j, false, row_set, (x, y), tree_comm, &mut scatter)
+            else {
+                continue;
             };
-            let mut blocks = Vec::new();
-            let mut total_rows = 0u32;
-            let mut maxw = 1u32;
-            for &k in sym.blocks_left(ju) {
-                if k as usize % px == x && row_set.contains(k as usize) {
-                    let (qlo, qhi) = kernels::block_range(&plan.fact, k as usize, ju);
-                    let (dense_start, scatter_off) = block_addr(
-                        sym.rows_below(k as usize),
-                        qlo,
-                        qhi,
-                        sym.sup_cols(ju).start,
-                        scatter,
-                    );
-                    blocks.push(BlockSched {
-                        sup: k,
-                        lo: qlo as u32,
-                        hi: qhi as u32,
-                        dense_start,
-                        scatter_off,
-                    });
-                    total_rows += (qhi - qlo) as u32;
-                    maxw = maxw.max(sym.sup_width(k as usize) as u32);
-                }
-            }
-            if !links.is_root {
-                *expected += 1;
-            }
-            if is_ext && links.is_root {
+            expected += u32::from(!c.is_root);
+            if is_ext && c.is_root {
                 ext_roots.push(j);
             }
-            cols.push(ColSched {
-                sup: j,
-                children: links
-                    .children
-                    .iter()
-                    .map(|&r| (r + px * y) as u32)
-                    .collect(),
-                is_root: links.is_root,
-                blocks,
-                total_rows,
-                maxw,
-            });
-        };
-        for &j in rows_in {
-            push_col(
-                j,
-                false,
-                &mut cols,
-                &mut scatter,
-                &mut expected,
-                &mut ext_roots,
-            );
-        }
-        for &j in ext {
-            push_col(
-                j,
-                true,
-                &mut cols,
-                &mut scatter,
-                &mut expected,
-                &mut ext_roots,
-            );
+            cols.push(c);
         }
         cols.sort_by_key(|c| c.sup);
 
@@ -897,6 +991,81 @@ impl PassSched {
             level_ptr,
         }
     }
+}
+
+/// Compile column `j`'s broadcast links and rank `(x, y)`'s blocks of it
+/// — `L(I, j)` for `I` below `j` in L passes, `U(K, j)` for `K` left of
+/// it in U passes, over the supernodes `keep` admits. `None` unless the
+/// rank takes part in the column.
+fn compile_col(
+    plan: &Plan,
+    j: u32,
+    lower: bool,
+    keep: &SupSet,
+    (x, y): (usize, usize),
+    tree_comm: bool,
+    scatter: &mut Vec<u32>,
+) -> Option<ColSched> {
+    let sym = plan.fact.lu.sym();
+    let (px, ju) = (plan.px, j as usize);
+    if ju % plan.py != y {
+        return None;
+    }
+    let others = if lower {
+        sym.blocks_below(ju)
+    } else {
+        sym.blocks_left(ju)
+    };
+    let others = || {
+        others
+            .iter()
+            .map(|&k| k as usize)
+            .filter(|&k| keep.contains(k))
+    };
+    let links = tree_links(
+        &member_list(ju % px, others().map(|k| k % px)),
+        x,
+        tree_comm,
+    )?;
+    let mut col = ColSched {
+        sup: j,
+        children: links
+            .children
+            .iter()
+            .map(|&r| (r + px * y) as u32)
+            .collect(),
+        is_root: links.is_root,
+        blocks: Vec::new(),
+        total_rows: 0,
+        maxw: 1,
+    };
+    for k in others().filter(|&k| k % px == x) {
+        // The panel holding the block, and where its indices count from:
+        // an L block's first row, a U block's source column `J`.
+        let (panel, (lo, hi)) = if lower {
+            (ju, kernels::block_range(&plan.fact, ju, k))
+        } else {
+            (k, kernels::block_range(&plan.fact, k, ju))
+        };
+        let start = if lower {
+            sym.rows_below(panel)[lo] as usize
+        } else {
+            sym.sup_cols(ju).start
+        };
+        let (dense_start, scatter_off) = block_addr(sym.rows_below(panel), lo, hi, start, scatter);
+        col.blocks.push(BlockSched {
+            sup: k as u32,
+            lo: lo as u32,
+            hi: hi as u32,
+            dense_start,
+            scatter_off,
+            slot: 0,
+            row: NO_ROW,
+        });
+        col.total_rows += (hi - lo) as u32;
+        col.maxw = col.maxw.max(sym.sup_width(k) as u32);
+    }
+    Some(col)
 }
 
 /// Precompile the addressing of row positions `[lo, hi)` relative to
@@ -955,6 +1124,8 @@ fn compile_rows(
                 .iter()
                 .map(|&c| (x + px * c) as u32)
                 .collect(),
+            acc: 0,
+            part: 0,
         });
     }
     rows
@@ -1019,15 +1190,55 @@ pub struct RecvEvent {
 }
 
 /// Caller-owned working state of [`run_pass_with`]: the `fmod` counters,
-/// ready queue, and dedup set of one pass. Reused across passes (and
-/// solves) so the pass interpreter itself performs no heap allocation —
-/// the steady-state allocation audit brackets everything after
-/// [`PassScratch::reset`].
+/// ready queue, and delivered-message set of one pass. Reused across
+/// passes (and solves) so the pass interpreter itself performs no heap
+/// allocation — the steady-state allocation audit brackets everything
+/// after [`PassScratch::reset`].
 #[derive(Default)]
 pub struct PassScratch {
     pub(crate) fmod: Vec<u32>,
     pub(crate) work: Vec<u32>,
-    pub(crate) seen: HashSet<(bool, u32, u32)>,
+    pub(crate) seen: InEdges,
+}
+
+/// Delivery bitset over a pass's compiled in-edges, the key of duplicate
+/// detection: bit `c` is the broadcast vector of column `c`, bit
+/// `first[r] + j` the partial from row `r`'s `j`-th reduction child.
+#[derive(Default)]
+pub(crate) struct InEdges {
+    bits: Vec<u64>,
+    first: Vec<u32>,
+}
+
+impl InEdges {
+    fn reset(&mut self, pass: &PassSched) {
+        let mut n = pass.cols.len();
+        self.first.clear();
+        for r in &pass.rows {
+            self.first.push(n as u32);
+            n += r.children.len();
+        }
+        self.bits.clear();
+        self.bits.resize(n.div_ceil(64), 0);
+    }
+
+    /// Record a delivery: `Some(true)` the first time its in-edge carries
+    /// a message, `Some(false)` for a repeat, `None` when the pass
+    /// compiled no such edge.
+    fn insert(&mut self, pass: &PassSched, ev: &RecvEvent) -> Option<bool> {
+        let bit = if ev.vector {
+            let c = pass.col_index(ev.sup)?;
+            (!pass.cols[c].is_root).then_some(c)?
+        } else {
+            let r = pass.row_index(ev.sup)?;
+            let j = pass.rows[r].children.iter().position(|&c| c == ev.src)?;
+            self.first[r] as usize + j
+        };
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        let fresh = self.bits[word] & mask == 0;
+        self.bits[word] |= mask;
+        Some(fresh)
+    }
 }
 
 impl PassScratch {
@@ -1039,21 +1250,19 @@ impl PassScratch {
     /// Size the scratch for `pass` and load its initial state. All
     /// capacity growth happens here, before the audited steady-state
     /// region starts: `work` can hold every trigger row (each row enters
-    /// the ready queue exactly once) and `seen` every expected logical
-    /// message.
+    /// the ready queue exactly once) and `seen` every compiled in-edge.
     pub(crate) fn reset(&mut self, pass: &PassSched) {
         self.fmod.clear();
         self.fmod.extend(pass.rows.iter().map(|r| r.fmod0));
         self.work.clear();
         self.work.reserve(pass.rows.len());
         self.work
-            .extend(pass.rows.iter().filter(|r| r.fmod0 == 0).map(|r| r.sup));
+            .extend((0..pass.rows.len() as u32).filter(|&i| pass.rows[i as usize].fmod0 == 0));
         // `rows` is ascending; L pops ascending, U pops descending.
         if pass.lower {
             self.work.reverse();
         }
-        self.seen.clear();
-        self.seen.reserve(pass.expected as usize);
+        self.seen.reset(pass);
     }
 }
 
@@ -1061,7 +1270,7 @@ impl PassScratch {
 /// by the CPU (Alg. 3) and multi-GPU (Alg. 5) executors.
 ///
 /// Duplicated deliveries (fault injection, or a retransmitting network)
-/// are detected by `(kind, sup, src)` and dropped idempotently, so an
+/// are detected by their compiled in-edge and dropped idempotently, so an
 /// `fmod` counter is never decremented twice for one logical message.
 ///
 /// This convenience form allocates throwaway scratch; the solvers thread
@@ -1102,9 +1311,8 @@ fn run_pass_impl<E: PassEngine>(
 
     let mut received = 0u32;
     loop {
-        while let Some(s) = work.pop() {
-            let idx = pass.row_index(s).expect("trigger row compiled");
-            fire_row(engine, pass, idx, fmod, work);
+        while let Some(idx) = work.pop() {
+            fire_row(engine, pass, idx as usize, fmod, work);
         }
         if received >= pass.expected {
             break;
@@ -1168,7 +1376,7 @@ pub(crate) fn recv_and_dispatch<E: PassEngine>(
     pass: &PassSched,
     fmod: &mut [u32],
     work: &mut Vec<u32>,
-    seen: &mut HashSet<(bool, u32, u32)>,
+    seen: &mut InEdges,
     received: &mut u32,
     dedup: bool,
 ) {
@@ -1190,7 +1398,16 @@ pub(crate) fn recv_and_dispatch<E: PassEngine>(
                 )));
             }
         };
-    if dedup && !seen.insert((ev.vector, ev.sup, ev.src)) {
+    let Some(fresh) = seen.insert(pass, &ev) else {
+        panic!(
+            "excess {} for sup {} from src {}: no compiled in-edge carries it{}",
+            if ev.vector { "vector" } else { "partial sum" },
+            ev.sup,
+            ev.src,
+            pass_report(pass, fmod, *received)
+        );
+    };
+    if dedup && !fresh {
         // Duplicate delivery: drop it without touching counters.
         engine.on_duplicate_dropped(&ev);
         return;
@@ -1217,7 +1434,7 @@ pub(crate) fn recv_and_dispatch<E: PassEngine>(
         engine.add_partial(&pass.rows[idx], ev.src, &ev.payload);
         fmod[idx] -= 1;
         if fmod[idx] == 0 {
-            work.push(ev.sup);
+            work.push(idx as u32);
         } else {
             engine.on_fmod_stall(&pass.rows[idx], fmod[idx]);
         }
@@ -1273,12 +1490,11 @@ pub(crate) fn apply_and_complete<E: PassEngine>(
     work: &mut Vec<u32>,
 ) {
     engine.apply_column(col, v, &pass.scatter);
-    for b in &col.blocks {
-        if let Some(idx) = pass.row_index(b.sup) {
-            fmod[idx] -= 1;
-            if fmod[idx] == 0 {
-                work.push(b.sup);
-            }
+    for b in col.blocks.iter().filter(|b| b.row != NO_ROW) {
+        let idx = b.row as usize;
+        fmod[idx] -= 1;
+        if fmod[idx] == 0 {
+            work.push(b.row);
         }
     }
 }
@@ -1311,6 +1527,12 @@ mod tests {
             tree_comm: false,
         },
     ];
+
+    #[test]
+    fn slot_keys_never_collide_across_kinds() {
+        assert!(SlotLayout::key_local(u32::MAX) < SlotLayout::key_partial(0));
+        assert!(SlotLayout::key_partial(u32::MAX) < SlotLayout::key_exchange(0));
+    }
 
     #[test]
     fn compile_is_deterministic() {
@@ -1483,7 +1705,9 @@ mod tests {
                 sup: 5,
                 fmod0: 1,
                 parent: None,
-                children: vec![],
+                children: vec![2],
+                acc: 0,
+                part: 0,
             }],
             ext_roots: vec![],
             scatter: vec![],
@@ -1539,9 +1763,9 @@ mod tests {
         assert!(msg.contains("1/1 contributions outstanding"), "got: {msg}");
     }
 
-    /// A partial for a row whose counter already hit zero (e.g. a replayed
-    /// message from a hostile network that slipped past dedup keys) is a
-    /// hard error with diagnostics, not a u32 underflow.
+    /// A partial no compiled in-edge carries (a second source for a row
+    /// expecting one) is a hard error with diagnostics, not a u32
+    /// underflow.
     #[test]
     fn excess_partial_is_rejected_with_diagnostics() {
         let (pass, _) = duplicated_delivery_pass();

@@ -23,124 +23,46 @@
 //! precompiled expected message count is met — exactly the structure of
 //! the paper's Algorithm 3 (`fmod`/`bmod` dependency counters included).
 
-use crate::arena::SolveArena;
+use crate::arena::{Ledger, SolveArena, SupVals};
 use crate::driver::ExecutorKind;
 use crate::kernels;
 use crate::plan::{GridSet, Plan};
 use crate::schedule::{
-    run_pass_with, ColSched, PassEngine, PassSched, PassScratch, RecvEvent, RowSched,
+    run_pass_with, BlockSched, ColSched, PassEngine, PassSched, PassScratch, RankSchedule,
+    RecvEvent, RowSched,
 };
 use simgrid::{Category, SpanDetail, Transport, TreeRole};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Order-independent partial-sum accumulator.
-///
-/// Floating-point addition is not associative, so accumulating incoming
-/// contributions in arrival order makes the solve's bits depend on the
-/// message schedule. The ledger instead buffers each contribution under a
-/// stable source key and folds them in ascending key order on demand —
-/// the folded sum is bit-identical under *any* delivery order the network
-/// (or the fault injector) produces.
-#[derive(Default)]
-pub struct Ledger {
-    rows: HashMap<u32, Vec<(u64, Vec<f64>)>>,
-}
-
-impl Ledger {
-    /// Key of a local column contribution (`sup < 2^32` keeps these below
-    /// every partial/exchange key).
-    #[inline]
-    pub fn key_local(col_sup: u32) -> u64 {
-        col_sup as u64
-    }
-
-    /// Key of a reduction-tree partial sent by grid rank `src`.
-    #[inline]
-    pub fn key_partial(src: u32) -> u64 {
-        (1 << 32) | src as u64
-    }
-
-    /// Key of a baseline z-exchange contribution carried under `tag`.
-    #[inline]
-    pub fn key_exchange(tag: u64) -> u64 {
-        (2 << 32) | (tag & 0xffff)
-    }
-
-    /// The contribution buffer for `(sup, key)`, zero-initialized at `len`.
-    /// Entries are kept sorted by key, so a prewarmed `(sup, key)` pair
-    /// (see the engine setup) resolves to a binary-search hit with no
-    /// allocation on the solve hot path.
-    pub fn accum(&mut self, sup: u32, key: u64, len: usize) -> &mut Vec<f64> {
-        let entries = self.rows.entry(sup).or_default();
-        let pos = match entries.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(p) => p,
-            Err(p) => {
-                entries.insert(p, (key, vec![0.0; len]));
-                p
-            }
-        };
-        &mut entries[pos].1
-    }
-
-    /// Add `payload` into the `(sup, key)` contribution elementwise.
-    pub fn add(&mut self, sup: u32, key: u64, payload: &[f64]) {
-        let acc = self.accum(sup, key, payload.len());
-        for (a, &v) in acc.iter_mut().zip(payload.iter()) {
-            *a += v;
-        }
-    }
-
-    /// Fold the contributions of `sup` into `out` in ascending key order
-    /// (the entries are maintained sorted). `out` is zero-filled first, so
-    /// a `sup` with no contributions folds to zeros — the same payload the
-    /// old allocating path produced for an untouched row. Allocation-free.
-    pub fn fold_into(&self, sup: u32, out: &mut [f64]) {
-        out.fill(0.0);
-        if let Some(entries) = self.rows.get(&sup) {
-            for (_, e) in entries {
-                for (o, &v) in out.iter_mut().zip(e.iter()) {
-                    *o += v;
-                }
-            }
-        }
-    }
-
-    /// Whether any contribution has been accumulated for `sup` this solve
-    /// — the runtime presence test behind the baseline z-exchange's
-    /// bitmap packing (DESIGN.md §15): untouched rows ship no bytes.
-    #[inline]
-    pub fn has(&self, sup: u32) -> bool {
-        self.rows.get(&sup).is_some_and(|e| !e.is_empty())
-    }
-
-    /// Fold the contributions of `sup` in ascending key order; `None`
-    /// when nothing has been accumulated. Allocating convenience form of
-    /// [`Ledger::fold_into`] for the cold paths (inter-grid exchanges).
-    pub fn fold(&self, sup: u32) -> Option<Vec<f64>> {
-        let entries = self.rows.get(&sup)?;
-        let mut out = vec![0.0; entries.first()?.1.len()];
-        self.fold_into(sup, &mut out);
-        Some(out)
-    }
-}
 
 /// Message kinds, encoded in tag bits 40..47. Bits 48+ carry the pass
 /// *epoch*: ranks of one grid are not synchronized between passes, so a
 /// neighbour already in the next pass may deliver early — the any-source
 /// receive matches on the epoch and leaves such messages queued.
-const KIND_Y: u64 = 1 << 40;
-const KIND_LSUM: u64 = 2 << 40;
-const KIND_X: u64 = 3 << 40;
-const KIND_USUM: u64 = 4 << 40;
 const KIND_MASK: u64 = 0xff << 40;
 const SUP_MASK: u64 = (1 << 40) - 1;
 /// Mask selecting the epoch bits.
 pub const EPOCH_MASK: u64 = !((1 << 48) - 1);
 
+/// The `(vector, partial-sum)` message kinds of an L or U pass, from the
+/// kind block after `base` (0 for the CPU engine, 20 for the GPU's).
+pub(crate) fn pass_kinds(base: u64, lower: bool) -> (u64, u64) {
+    let k = base + if lower { 1 } else { 3 };
+    (k << 40, (k + 1) << 40)
+}
+
 #[inline]
-fn tag(epoch: u64, kind: u64, sup: u32) -> u64 {
+pub(crate) fn tag(epoch: u64, kind: u64, sup: u32) -> u64 {
     (epoch << 48) | kind | sup as u64
+}
+
+/// `(is a vector, supernode)` of a message of a pass with `kinds`.
+pub(crate) fn decode(tag: u64, (vector, sum): (u64, u64)) -> (bool, u32) {
+    let kind = tag & KIND_MASK;
+    assert!(
+        kind == vector || kind == sum,
+        "unexpected message kind in 2D pass"
+    );
+    (kind == vector, (tag & SUP_MASK) as u32)
 }
 
 /// My links within a (binary or star) tree whose member list has the root
@@ -209,20 +131,36 @@ pub fn member_list(root: usize, others: impl Iterator<Item = usize>) -> Vec<usiz
     out
 }
 
-/// Persistent per-grid solve state carried across passes.
-#[derive(Default)]
-pub struct SolveState {
-    /// Partial row sums `lsum(I)` (L phase), `w_I × nrhs` col-major,
-    /// buffered per contribution source for order-independent folding.
-    pub lsum: Ledger,
+/// Per-rank solve state carried across passes: flat slabs laid out by the
+/// rank's compiled schedule.
+pub struct SolveState<'s> {
+    /// Partial row sums `lsum(I)` of the L phase, `w_I × nrhs` col-major
+    /// per contribution slot (they persist across the baseline's passes).
+    pub lsum: Ledger<'s>,
+    /// Partial row sums `usum(K)` of the U phase.
+    pub usum: Ledger<'s>,
     /// Solved `y(K)` at diagonal owners (and broadcast recipients).
-    pub y_vals: HashMap<u32, Vec<f64>>,
-    /// Solved `x(K)` at diagonal owners.
-    pub x_vals: HashMap<u32, Vec<f64>>,
+    pub y_vals: SupVals<'s>,
+    /// Solved `x(K)`.
+    pub x_vals: SupVals<'s>,
     /// Scratch arena for diagonal-solve temporaries, sized at pass setup.
     pub arena: SolveArena,
     /// Pass-interpreter working state, reused across passes.
     pub scratch: PassScratch,
+}
+
+impl<'s> SolveState<'s> {
+    /// Zeroed state for one solve of `nrhs` right-hand sides.
+    pub fn new(rs: &'s RankSchedule, nrhs: usize) -> Self {
+        SolveState {
+            lsum: Ledger::new(&rs.l_slots, nrhs),
+            usum: Ledger::new(&rs.u_slots, nrhs),
+            y_vals: SupVals::new(&rs.vals, nrhs),
+            x_vals: SupVals::new(&rs.vals, nrhs),
+            arena: SolveArena::new(),
+            scratch: PassScratch::new(),
+        }
+    }
 }
 
 /// Context shared by the pass functions of one rank. Generic over the
@@ -253,28 +191,20 @@ impl<T: Transport> Ctx<'_, T> {
     }
 }
 
-/// Run one compiled 2D L-solve pass. Partial sums for rows outside the
-/// pass persist in `state.lsum` for later passes (baseline ancestors);
-/// solved `y(K)` land in `state.y_vals`.
-pub fn l_solve_pass<T: Transport>(ctx: &Ctx<T>, pass: &PassSched, state: &mut SolveState) {
-    debug_assert!(pass.lower);
-    solve_pass(ctx, pass, state, true);
-}
-
-/// Run one compiled 2D U-solve pass. Solved `x(K)` land in
-/// `state.x_vals`; `state.y_vals` must hold `y(K)` for every row solved
-/// here at its diagonal owner.
-pub fn u_solve_pass<T: Transport>(ctx: &Ctx<T>, pass: &PassSched, state: &mut SolveState) {
-    debug_assert!(!pass.lower);
-    solve_pass(ctx, pass, state, false);
-}
-
-fn solve_pass<T: Transport>(ctx: &Ctx<T>, pass: &PassSched, state: &mut SolveState, lower: bool) {
+/// Run one compiled 2D pass, an L-solve or (`!pass.lower`) a U-solve.
+/// L partial sums for rows outside the pass persist in `state.lsum` for
+/// later passes (baseline ancestors) and solved `y(K)` land in
+/// `state.y_vals`; a U pass needs `y(K)` at the diagonal owner of every
+/// row it solves and leaves `x(K)` in `state.x_vals`.
+pub fn solve_pass<T: Transport>(ctx: &Ctx<T>, pass: &PassSched, state: &mut SolveState) {
     // The interpreter scratch lives in `state` so repeated passes reuse
     // it, but the engine needs `&mut state` too — take it for the pass.
     let executor = ctx.executor;
     let mut scratch = std::mem::take(&mut state.scratch);
-    let mut engine = CpuEngine::new(ctx, pass, state, lower);
+    let mut engine = {
+        let _setup = crate::audit::setup_scope(pass.rows.len() + pass.ext_roots.len());
+        CpuEngine::new(ctx, pass, state)
+    };
     match executor {
         ExecutorKind::Tree => run_pass_with(&mut engine, pass, &mut scratch),
         ExecutorKind::Level => crate::levelexec::run_level_pass(&mut engine, pass, &mut scratch),
@@ -283,135 +213,173 @@ fn solve_pass<T: Transport>(ctx: &Ctx<T>, pass: &PassSched, state: &mut SolveSta
     state.scratch = scratch;
 }
 
+/// Send payloads of one pass, prebuilt at setup by compiled row position
+/// while the FIFO routes they travel are warmed: the diagonal result at a
+/// reduction root, the partial sum elsewhere. Each stays unique (refcount
+/// 1) until its row fires; the transport then shares it by refcount.
+pub(crate) struct Payloads {
+    bufs: Vec<Option<Arc<[f64]>>>,
+    /// Longest payload, in doubles.
+    pub(crate) maxlen: usize,
+}
+
+impl Payloads {
+    pub(crate) fn new<T: Transport>(comm: &T, plan: &Plan, pass: &PassSched, nrhs: usize) -> Self {
+        let sym = plan.fact.lu.sym();
+        let mut maxlen = 1;
+        let mut bufs = Vec::with_capacity(pass.rows.len());
+        for row in &pass.rows {
+            let len = sym.sup_width(row.sup as usize) * nrhs;
+            maxlen = maxlen.max(len);
+            // One allocation: the exact-size iterator sizes the `Arc`.
+            bufs.push(Some(std::iter::repeat_n(0.0, len).collect()));
+            if let Some(p) = row.parent {
+                comm.warm_route(p as usize);
+            }
+        }
+        for &c in pass.cols.iter().flat_map(|c| &c.children) {
+            comm.warm_route(c as usize);
+        }
+        Payloads { bufs, maxlen }
+    }
+
+    /// The payload of trigger row `row`.
+    pub(crate) fn take(&mut self, pass: &PassSched, row: &RowSched) -> Arc<[f64]> {
+        let idx = pass.row_index(row.sup).expect("trigger row compiled");
+        self.bufs[idx]
+            .take()
+            .expect("payload prebuilt, row fires once")
+    }
+}
+
+/// Diagonal solve of trigger row `row` into `out`; returns its flops.
+/// Without `y_k` it is `y(I) = L(I,I)⁻¹ (b(I) − lsum(I))` (Eq. 1) on grid
+/// `z`'s masked share of the permuted RHS `pb`; with it, `x(K) =
+/// U(K,K)⁻¹ (y(K) − usum(K))` (Eq. 2).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn diag_solve(
+    plan: &Plan,
+    (pb, z): (&[f64], usize),
+    y_k: Option<&[f64]>,
+    row: &RowSched,
+    sums: &Ledger,
+    arena: &mut SolveArena,
+    nrhs: usize,
+    out: &mut [f64],
+) -> usize {
+    let (fact, iu) = (&plan.fact, row.sup as usize);
+    let len = fact.lu.sym().sup_width(iu) * nrhs;
+    let (b, fold, rhs) = arena.slices3(len, len, len);
+    sums.fold_into(row.acc, fold);
+    match y_k {
+        None => {
+            kernels::masked_rhs_into(fact, iu, pb, nrhs, plan.rhs_active(z, iu), b);
+            kernels::diag_solve_l_into(fact, iu, b, Some(fold), nrhs, rhs, out)
+        }
+        Some(y_k) => kernels::diag_solve_u_into(fact, iu, y_k, Some(fold), nrhs, rhs, out),
+    }
+}
+
+/// Apply `col`'s local blocks of its solved vector `v` into their ledger
+/// slots; `each` sees every block with its flop count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn apply_blocks(
+    plan: &Plan,
+    lower: bool,
+    col: &ColSched,
+    v: &[f64],
+    scatter: &[u32],
+    sums: &mut Ledger,
+    nrhs: usize,
+    mut each: impl FnMut(&BlockSched, usize),
+) {
+    let sym = plan.fact.lu.sym();
+    let ju = col.sup as usize;
+    let (wcol, r) = (sym.sup_width(ju), sym.rows_below(ju).len());
+    for b in &col.blocks {
+        let wb = sym.sup_width(b.sup as usize);
+        let (lo, hi, tg) = (b.lo as usize, b.hi as usize, b.targets(scatter));
+        let fl = if lower {
+            // The slot spans the block's rows only (see `BlockSched::cover`).
+            let len = b.cover(plan, col.sup, true)[1] as usize;
+            let (panel, acc) = (
+                &plan.fact.lu.panel(ju).l_below,
+                sums.slot(b.slot, len * nrhs),
+            );
+            kernels::apply_l(panel, r, lo, hi, tg, v, wcol, acc, len, nrhs)
+        } else {
+            let acc = sums.slot(b.slot, wb * nrhs);
+            let panel = &plan.fact.lu.panel(b.sup as usize).u_right;
+            kernels::apply_u(panel, wb, lo, hi, tg, v, wcol, acc, nrhs)
+        };
+        each(b, fl);
+    }
+}
+
 /// CPU cost hooks for [`crate::schedule::run_pass`]: every kernel advances
 /// this rank's serial clock; messages are epoch-tagged two-sided sends.
 ///
-/// Construction ([`CpuEngine::new`]) is the per-pass *setup* phase: it
-/// pre-creates every buffer the steady-state loop will touch — ledger
-/// accumulator slots, solved-value slots, `Arc` send payloads, FIFO
-/// routes, metric names, arena capacity — so the loop itself (bracketed by
-/// [`crate::audit::pass_scope`] inside the interpreter) never allocates.
-struct CpuEngine<'a, 'b, T: Transport> {
+/// Construction ([`CpuEngine::new`]) is the per-pass *setup* phase. The
+/// slabs it writes into were laid out at compile time, so setup only
+/// builds the `Arc` send payloads (one per trigger row and announced
+/// external column), warms FIFO routes and metric names and sizes the
+/// arena; the loop itself (bracketed by [`crate::audit::pass_scope`]
+/// inside the interpreter) never allocates.
+struct CpuEngine<'a, 'b, 's, T: Transport> {
     ctx: &'b Ctx<'a, T>,
-    state: &'b mut SolveState,
-    /// U-phase partial sums (per-pass lifetime, unlike `state.lsum`).
-    usum: Ledger,
+    pass: &'b PassSched,
+    state: &'b mut SolveState<'s>,
     lower: bool,
     epoch: u64,
     /// Monotone per-pass operation index, stamped onto trace spans.
     step: u32,
-    /// Prebuilt diagonal-solve result buffers, one per rooted trigger row.
-    /// Unique (refcount 1) until the row fires; the transport then shares
-    /// them with broadcast children as refcount bumps.
-    diag_bufs: HashMap<u32, Arc<[f64]>>,
-    /// Prebuilt reduction payload buffers, one per non-root trigger row.
-    partial_bufs: HashMap<u32, Arc<[f64]>>,
-    /// Shared snapshots of externally solved columns this rank announces.
-    ext_bufs: HashMap<u32, Arc<[f64]>>,
+    payloads: Payloads,
+    /// Shared snapshots of externally solved columns this rank announces,
+    /// sorted by supernode.
+    ext_bufs: Vec<(u32, Arc<[f64]>)>,
     /// Pending level-barrier attribution `(level, sup)`: set when the
     /// level-set executor parks at a barrier, consumed by the next
     /// blocking receive so its trace span reads as barrier wait time.
     barrier: Option<(u32, u32)>,
 }
 
-impl<'a, 'b, T: Transport> CpuEngine<'a, 'b, T> {
-    fn new(ctx: &'b Ctx<'a, T>, pass: &PassSched, state: &'b mut SolveState, lower: bool) -> Self {
-        let sym = ctx.plan.fact.lu.sym();
-        let nrhs = ctx.nrhs;
-        let mut usum = Ledger::default();
-        let mut diag_bufs: HashMap<u32, Arc<[f64]>> = HashMap::with_capacity(pass.rows.len());
-        let mut partial_bufs: HashMap<u32, Arc<[f64]>> = HashMap::with_capacity(pass.rows.len());
-        let mut ext_bufs: HashMap<u32, Arc<[f64]>> = HashMap::with_capacity(pass.ext_roots.len());
-        let mut maxlen = 1;
-        {
-            let sums = if lower { &mut state.lsum } else { &mut usum };
-            for row in &pass.rows {
-                let len = sym.sup_width(row.sup as usize) * nrhs;
-                maxlen = maxlen.max(len);
-                match row.parent {
-                    None => {
-                        diag_bufs.insert(row.sup, vec![0.0; len].into());
-                    }
-                    Some(p) => {
-                        partial_bufs.insert(row.sup, vec![0.0; len].into());
-                        ctx.comm.warm_route(p as usize);
-                    }
-                }
-                // One accumulator slot per reduction child's partial.
-                for &c in &row.children {
-                    sums.accum(row.sup, Ledger::key_partial(c), len);
-                }
-            }
-            for col in &pass.cols {
-                // One accumulator slot per local block update.
-                for b in &col.blocks {
-                    let blen = sym.sup_width(b.sup as usize) * nrhs;
-                    maxlen = maxlen.max(blen);
-                    sums.accum(b.sup, Ledger::key_local(col.sup), blen);
-                }
-                for &c in &col.children {
-                    ctx.comm.warm_route(c as usize);
-                }
-            }
-        }
-        // Pre-size the solved-value slots so `store_solved` is a plain
-        // copy. `or_insert` keeps values already present from earlier
-        // passes (baseline ancestors, externally solved columns).
-        let vals = if lower {
-            &mut state.y_vals
+impl<'a, 'b, 's, T: Transport> CpuEngine<'a, 'b, 's, T> {
+    fn new(ctx: &'b Ctx<'a, T>, pass: &'b PassSched, state: &'b mut SolveState<'s>) -> Self {
+        let lower = pass.lower;
+        let payloads = Payloads::new(ctx.comm, ctx.plan, pass, ctx.nrhs);
+        let mut ext_bufs: Vec<(u32, Arc<[f64]>)> = pass
+            .ext_roots
+            .iter()
+            .map(|&j| (j, Arc::from(state.x_vals.get(j))))
+            .collect();
+        ext_bufs.sort_unstable_by_key(|e| e.0);
+        state.arena.ensure(3 * payloads.maxlen);
+        if lower {
+            state.lsum.begin_pass();
         } else {
-            &mut state.x_vals
-        };
-        for col in &pass.cols {
-            let len = sym.sup_width(col.sup as usize) * nrhs;
-            vals.entry(col.sup).or_insert_with(|| vec![0.0; len]);
+            state.usum.begin_pass();
         }
-        for &j in &pass.ext_roots {
-            let v = state
-                .x_vals
-                .get(&j)
-                .expect("external column solved in an earlier pass");
-            ext_bufs.insert(j, Arc::from(&v[..]));
-        }
-        state.arena.ensure(3 * maxlen);
         ctx.comm.metric_inc("pass.fmod_stalls", 0);
         ctx.comm.metric_inc("pass.level_barrier_waits", 0);
         CpuEngine {
             ctx,
+            pass,
             state,
-            usum,
             lower,
             epoch: pass.epoch,
             step: 0,
-            diag_bufs,
-            partial_bufs,
+            payloads,
             ext_bufs,
             barrier: None,
         }
     }
 
     /// The partial-sum accumulator of the current triangle.
-    fn sums(&mut self) -> &mut Ledger {
+    fn sums(&mut self) -> &mut Ledger<'s> {
         if self.lower {
             &mut self.state.lsum
         } else {
-            &mut self.usum
-        }
-    }
-
-    fn vec_kind(&self) -> u64 {
-        if self.lower {
-            KIND_Y
-        } else {
-            KIND_X
-        }
-    }
-
-    fn sum_kind(&self) -> u64 {
-        if self.lower {
-            KIND_LSUM
-        } else {
-            KIND_USUM
+            &mut self.state.usum
         }
     }
 
@@ -435,65 +403,50 @@ impl<'a, 'b, T: Transport> CpuEngine<'a, 'b, T> {
     }
 }
 
-impl<T: Transport> PassEngine for CpuEngine<'_, '_, T> {
+impl<T: Transport> PassEngine for CpuEngine<'_, '_, '_, T> {
     fn solve_diag(&mut self, row: &RowSched) -> Arc<[f64]> {
         self.begin_op(row.sup, TreeRole::Diag);
-        let plan = self.ctx.plan;
-        let iu = row.sup as usize;
-        let len = plan.fact.lu.sym().sup_width(iu) * self.ctx.nrhs;
+        let ctx = self.ctx;
         // The result buffer was prebuilt in setup and is still uniquely
         // owned, so the kernel writes straight into the send payload.
-        let mut out = self
-            .diag_bufs
-            .remove(&row.sup)
-            .expect("diagonal buffer prebuilt for rooted row");
+        let mut out = self.payloads.take(self.pass, row);
         let buf = Arc::get_mut(&mut out).expect("diagonal buffer still unique");
-        let fl = if self.lower {
-            // y(I) = L(I,I)⁻¹ (b(I) − lsum(I)), Eq. (1).
-            let active = plan.rhs_active(self.ctx.grid.z, iu);
-            let state = &mut *self.state;
-            let (b_i, fold, rhs) = state.arena.slices3(len, len, len);
-            kernels::masked_rhs_into(&plan.fact, iu, self.ctx.pb, self.ctx.nrhs, active, b_i);
-            state.lsum.fold_into(row.sup, fold);
-            kernels::diag_solve_l_into(&plan.fact, iu, b_i, Some(fold), self.ctx.nrhs, rhs, buf)
+        let state = &mut *self.state;
+        let (sums, y_k) = if self.lower {
+            (&state.lsum, None)
         } else {
-            // x(K) = U(K,K)⁻¹ (y(K) − usum(K)), Eq. (2).
-            let state = &mut *self.state;
-            let (fold, rhs) = state.arena.slices2(len, len);
-            self.usum.fold_into(row.sup, fold);
-            let y_k = state
-                .y_vals
-                .get(&row.sup)
-                .expect("y(K) available at diagonal owner before U-solve");
-            kernels::diag_solve_u_into(&plan.fact, iu, y_k, Some(fold), self.ctx.nrhs, rhs, buf)
+            (&state.usum, Some(state.y_vals.get(row.sup)))
         };
-        self.ctx
-            .comm
-            .compute(self.ctx.flop_time(fl), Category::Flop);
+        let rhs = (ctx.pb, ctx.grid.z);
+        let fl = diag_solve(
+            ctx.plan,
+            rhs,
+            y_k,
+            row,
+            sums,
+            &mut state.arena,
+            ctx.nrhs,
+            buf,
+        );
+        ctx.comm.compute(ctx.flop_time(fl), Category::Flop);
         out
     }
 
     fn store_solved(&mut self, sup: u32, v: &[f64]) {
-        let vals = if self.lower {
-            &mut self.state.y_vals
+        // Re-stores (baseline re-broadcasts) write identical bits.
+        if self.lower {
+            self.state.y_vals.set(sup, v);
         } else {
-            &mut self.state.x_vals
-        };
-        // Setup pre-sized every slot this pass stores, so this is a plain
-        // copy. Re-stores (baseline re-broadcasts) write identical bits.
-        match vals.get_mut(&sup) {
-            Some(slot) => slot.copy_from_slice(v),
-            None => {
-                vals.insert(sup, v.to_vec());
-            }
+            self.state.x_vals.set(sup, v);
         }
     }
 
     fn solved(&self, sup: u32) -> Arc<[f64]> {
-        self.ext_bufs
-            .get(&sup)
-            .cloned()
-            .expect("external column snapshot prebuilt")
+        let i = self
+            .ext_bufs
+            .binary_search_by_key(&sup, |e| e.0)
+            .expect("external column snapshot prebuilt");
+        Arc::clone(&self.ext_bufs[i].1)
     }
 
     fn forward(&mut self, col: &ColSched, v: &Arc<[f64]>) {
@@ -501,7 +454,7 @@ impl<T: Transport> PassEngine for CpuEngine<'_, '_, T> {
             return;
         }
         self.begin_op(col.sup, TreeRole::Bcast);
-        let t = tag(self.epoch, self.vec_kind(), col.sup);
+        let t = tag(self.epoch, pass_kinds(0, self.lower).0, col.sup);
         for &child in &col.children {
             self.ctx
                 .comm
@@ -511,22 +464,12 @@ impl<T: Transport> PassEngine for CpuEngine<'_, '_, T> {
 
     fn send_partial(&mut self, row: &RowSched, parent: u32) {
         self.begin_op(row.sup, TreeRole::Reduce);
-        let t = tag(self.epoch, self.sum_kind(), row.sup);
+        let t = tag(self.epoch, pass_kinds(0, self.lower).1, row.sup);
         // Fold straight into the prebuilt payload buffer (unique until
         // this send, which shares it with the transport by refcount).
-        let mut payload = self
-            .partial_bufs
-            .remove(&row.sup)
-            .expect("partial buffer prebuilt for non-root row");
-        {
-            let buf = Arc::get_mut(&mut payload).expect("partial buffer still unique");
-            let sums = if self.lower {
-                &self.state.lsum
-            } else {
-                &self.usum
-            };
-            sums.fold_into(row.sup, buf);
-        }
+        let mut payload = self.payloads.take(self.pass, row);
+        let buf = Arc::get_mut(&mut payload).expect("partial buffer still unique");
+        self.sums().fold_into(row.acc, buf);
         self.ctx
             .comm
             .send_shared(parent as usize, t, &payload, Category::XyComm);
@@ -534,58 +477,15 @@ impl<T: Transport> PassEngine for CpuEngine<'_, '_, T> {
 
     fn apply_column(&mut self, col: &ColSched, v: &[f64], scatter: &[u32]) {
         self.begin_op(col.sup, TreeRole::Apply);
-        let plan = self.ctx.plan;
-        let sym = plan.fact.lu.sym();
-        let nrhs = self.ctx.nrhs;
-        let lower = self.lower;
-        let ju = col.sup as usize;
-        let wcol = sym.sup_width(ju);
-        for b in &col.blocks {
-            let wb = sym.sup_width(b.sup as usize);
-            let tg = b.targets(scatter);
-            let sums = if lower {
-                &mut self.state.lsum
-            } else {
-                &mut self.usum
-            };
-            let acc = sums.accum(b.sup, Ledger::key_local(col.sup), wb * nrhs);
-            let fl = if lower {
-                let panel = &plan.fact.lu.panel(ju).l_below;
-                let r = sym.rows_below(ju).len();
-                kernels::apply_l(
-                    panel,
-                    r,
-                    b.lo as usize,
-                    b.hi as usize,
-                    tg,
-                    v,
-                    wcol,
-                    acc,
-                    wb,
-                    nrhs,
-                )
-            } else {
-                let panel = &plan.fact.lu.panel(b.sup as usize).u_right;
-                kernels::apply_u(
-                    panel,
-                    wb,
-                    b.lo as usize,
-                    b.hi as usize,
-                    tg,
-                    v,
-                    wcol,
-                    acc,
-                    nrhs,
-                )
-            };
-            self.ctx
-                .comm
-                .compute(self.ctx.flop_time(fl), Category::Flop);
-        }
+        let (ctx, lower) = (self.ctx, self.lower);
+        let sums = self.sums();
+        apply_blocks(ctx.plan, lower, col, v, scatter, sums, ctx.nrhs, |_, fl| {
+            ctx.comm.compute(ctx.flop_time(fl), Category::Flop)
+        });
     }
 
     fn add_partial(&mut self, row: &RowSched, src: u32, payload: &[f64]) {
-        self.sums().add(row.sup, Ledger::key_partial(src), payload);
+        self.sums().add_partial(row, src, payload);
     }
 
     fn recv(&mut self, epoch: u64) -> RecvEvent {
@@ -596,15 +496,7 @@ impl<T: Transport> PassEngine for CpuEngine<'_, '_, T> {
             .ctx
             .comm
             .recv_tag_masked(EPOCH_MASK, epoch << 48, Category::XyComm);
-        let sup = (msg.tag & SUP_MASK) as u32;
-        let kind = msg.tag & KIND_MASK;
-        let vector = if kind == self.vec_kind() {
-            true
-        } else if kind == self.sum_kind() {
-            false
-        } else {
-            unreachable!("unexpected message kind in 2D pass");
-        };
+        let (vector, sup) = decode(msg.tag, pass_kinds(0, self.lower));
         // A receive entered while parked at a level barrier is that
         // barrier's wait — attribute the span to the barrier instead of
         // the delivered message, so the critical-path report can sum the
@@ -652,37 +544,6 @@ impl<T: Transport> PassEngine for CpuEngine<'_, '_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The whole point of the ledger: sums whose value depends on the
-    /// addition order when accumulated naively must fold bit-identically
-    /// for every insertion (arrival) order.
-    #[test]
-    fn ledger_fold_is_order_independent() {
-        let contributions = [
-            (Ledger::key_partial(3), vec![0.1, 0.2]),
-            (Ledger::key_local(7), vec![1e16, -1.0]),
-            (Ledger::key_partial(1), vec![-1e16, 0.5]),
-            (Ledger::key_exchange(0x9042), vec![1.0, 1e-8]),
-        ];
-        let fold_in = |order: &[usize]| {
-            let mut l = Ledger::default();
-            for &i in order {
-                l.add(5, contributions[i].0, &contributions[i].1);
-            }
-            l.fold(5).unwrap()
-        };
-        let want = fold_in(&[0, 1, 2, 3]);
-        for perm in [[3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1], [0, 2, 1, 3]] {
-            assert_eq!(want, fold_in(&perm), "fold depends on arrival order");
-        }
-        assert!(Ledger::default().fold(5).is_none());
-    }
-
-    #[test]
-    fn ledger_keys_never_collide_across_kinds() {
-        assert!(Ledger::key_local(u32::MAX) < Ledger::key_partial(0));
-        assert!(Ledger::key_partial(u32::MAX) < Ledger::key_exchange(0));
-    }
 
     #[test]
     fn member_list_dedups_and_roots_first() {

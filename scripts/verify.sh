@@ -32,6 +32,18 @@ awk 'FNR == 1 { in_tests = 0 }
     exit 1
 }
 
+# The solve engines index the flat slabs the schedule compiler laid out
+# (`SupIndex`, `SlotLayout`); a keyed map back on their paths is a
+# regression. `schedule.rs` is exempt: compile-time maps are fine.
+echo "== no HashMap/HashSet in the solve engines outside tests =="
+awk 'FNR == 1 { in_tests = 0 }
+     /#\[cfg\(test\)\]/ { in_tests = 1 }
+     !in_tests && /Hash(Map|Set)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+     END { exit found }' crates/core/src/{solve2d,levelexec,new3d,baseline3d,allreduce}.rs || {
+    echo "verify: a solve engine uses a HashMap/HashSet (lines above)" >&2
+    exit 1
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -4,9 +4,10 @@
 //! regions (the pass-interpreter loop and the single-GPU column sweeps).
 //! A counting global allocator reports every heap allocation made by a
 //! thread while inside such a region; after one warm-up solve — which is
-//! allowed to grow arenas, ledger slots, and interpreter scratch — a
-//! second solve of the same system must perform **zero** heap allocations
-//! inside the audited regions, for all four solver variants.
+//! allowed to grow interpreter scratch — a second solve of the same system
+//! must perform **zero** heap allocations inside the audited regions, for
+//! all four solver variants. Pass setup, outside those regions, has a
+//! budget of its own that does not grow with the pass's block count.
 //!
 //! This is the enforcement teeth behind the zero-copy/arena design: any
 //! regression that sneaks a `Vec` or `HashMap` insert back into the
@@ -85,8 +86,8 @@ fn audited_allocs_on_second_solve(
     let solver = Solver3d::new(Arc::clone(&f), cfg);
     let want = f.solve(&b, nrhs);
 
-    // Warm-up: arenas size themselves, ledgers build their slot maps,
-    // interpreter scratch grows to the high-water mark.
+    // Warm-up: metric names and transport routes appear, interpreter
+    // scratch grows to the high-water mark.
     let warm = solver.solve(&b, nrhs);
     assert!(
         sparse::max_abs_diff(&warm.x, &want) < 1e-11,
@@ -215,6 +216,67 @@ fn steady_state_solves_never_allocate_in_audited_regions() {
             n, 0,
             "{name}: {n} heap allocations inside audited steady-state regions \
              on the second solve (expected none)"
+        );
+    }
+}
+
+/// Pass setup has a budget that does not grow with the work: building one
+/// pass's engine state costs one allocation per `Arc` send payload (one
+/// per trigger row, plus one per announced external column in the
+/// baseline) and at most 16 more, while the KKT fixture's busiest passes
+/// apply 500 to 1800 blocks. Every accumulator slot and solved-value piece
+/// lives in per-solve slabs the schedule laid out, never in per-block
+/// buffers.
+#[test]
+fn pass_setup_allocations_do_not_scale_with_blocks() {
+    let _serial = AUDIT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let a = gen::kkt3d_irregular(16, 11, 7, 0.3, 17);
+    let nrhs = 8;
+    let b = gen::standard_rhs(a.nrows(), nrhs);
+    for (algorithm, (px, py, pz)) in [
+        (Algorithm::New3d, (1, 1, 2)),
+        (Algorithm::New3d, (2, 2, 2)),
+        (Algorithm::Baseline3d, (1, 1, 2)),
+    ] {
+        let f = Arc::new(factorize(&a, pz, &SymbolicOptions::default()).unwrap());
+        let cfg = SolverConfig {
+            px,
+            py,
+            pz,
+            nrhs,
+            algorithm,
+            arch: Arch::Cpu,
+            machine: MachineModel::cori_haswell(),
+            chaos_seed: 0,
+            fault: Default::default(),
+            backend: Default::default(),
+            executor: Default::default(),
+        };
+        let solver = Solver3d::new(Arc::clone(&f), cfg);
+        let key = sptrsv::schedule::ScheduleKey {
+            baseline: algorithm == Algorithm::Baseline3d,
+            tree_comm: algorithm != Algorithm::Baseline3d,
+        };
+        let most_blocks = solver
+            .plan()
+            .schedule(key)
+            .ranks
+            .iter()
+            .flat_map(|rs| rs.l_steps.iter().chain(&rs.u_steps))
+            .filter_map(|s| s.pass.as_ref())
+            .map(|p| p.cols.iter().map(|c| c.blocks.len()).sum::<usize>())
+            .max()
+            .unwrap();
+        assert!(most_blocks > 500, "fixture too small: {most_blocks} blocks");
+
+        let _ = sptrsv::audit::take_setup_excess();
+        let out = solver.solve(&b, nrhs);
+        assert!(sparse::rel_residual_inf(&a, &out.x, &b, nrhs) < 1e-10);
+        let excess = sptrsv::audit::take_setup_excess().expect("pass setups were audited");
+        assert!(
+            excess <= 16,
+            "{algorithm:?} {px}x{py}x{pz}: a pass setup made {excess} allocations beyond \
+             its payloads (budget 16; busiest pass applies {most_blocks} blocks)"
         );
     }
 }

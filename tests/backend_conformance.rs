@@ -29,12 +29,11 @@ use std::sync::Arc;
 
 const NRHS: usize = 2;
 
-fn fixture(pz: usize) -> (Arc<Factorized>, Vec<f64>, Vec<f64>) {
+fn fixture(pz: usize, nrhs: usize) -> (CsrMatrix, Arc<Factorized>, Vec<f64>) {
     let a = gen::poisson2d_9pt(12, 12);
     let f = Arc::new(factorize(&a, pz, &SymbolicOptions::default()).expect("factorize"));
-    let b = gen::standard_rhs(a.nrows(), NRHS);
-    let want = f.solve(&b, NRHS);
-    (f, b, want)
+    let b = gen::standard_rhs(a.nrows(), nrhs);
+    (a, f, b)
 }
 
 fn config(alg: Algorithm, arch: Arch, (px, py, pz): (usize, usize, usize)) -> SolverConfig {
@@ -79,24 +78,42 @@ fn total_sent(o: &SolveOutcome) -> u64 {
         .sum()
 }
 
-/// Solve the fixture on every backend under test and require `x`
-/// bit-identical to the simulator's.
+/// Solve the fixture on every backend under test, for every RHS count of
+/// the sweep, and require `x` to solve the system and to be bit-identical
+/// to the simulator's. Each proc solve forks a whole cluster, so proc is
+/// compared at the widest sweep point only.
 fn assert_backends_agree(alg: Algorithm, arch: Arch, grid: (usize, usize, usize)) {
-    let (f, b, want) = fixture(grid.2);
-    let sim_cfg = config(alg, arch, grid);
+    for nrhs in common::NRHS_SWEEP {
+        assert_backends_agree_at(alg, arch, grid, nrhs);
+    }
+}
+
+fn assert_backends_agree_at(alg: Algorithm, arch: Arch, grid: (usize, usize, usize), nrhs: usize) {
+    let (a, f, b) = fixture(grid.2, nrhs);
+    let sim_cfg = SolverConfig {
+        nrhs,
+        ..config(alg, arch, grid)
+    };
     let sim = solve_distributed(&f, &b, &sim_cfg);
 
-    let diff = sparse::max_abs_diff(&sim.x, &want);
-    assert!(
-        diff < 1e-9,
-        "{alg:?}/{arch:?}/{grid:?}: sim disagrees with the sequential reference: {diff}"
+    common::assert_solves(
+        &a,
+        &f,
+        &b,
+        &sim.x,
+        nrhs,
+        &format!("{alg:?}/{arch:?}/{grid:?} sim"),
     );
     assert!(
         sim.replication_disagreement == 0.0,
         "{alg:?}/{arch:?}/{grid:?}: replicated grids disagreed under sim"
     );
 
+    let widest = nrhs == common::NRHS_SWEEP[2];
     for backend in backends_under_test() {
+        if backend == Backend::Proc && !widest {
+            continue;
+        }
         let cfg = SolverConfig {
             backend,
             ..sim_cfg.clone()
@@ -108,7 +125,7 @@ fn assert_backends_agree(alg: Algorithm, arch: Arch, grid: (usize, usize, usize)
             assert_eq!(
                 s.to_bits(),
                 r.to_bits(),
-                "{alg:?}/{arch:?}/{grid:?}: x[{i}] differs across backends: \
+                "{alg:?}/{arch:?}/{grid:?}, nrhs {nrhs}: x[{i}] differs across backends: \
                  sim {s:e}, {backend:?} {r:e}"
             );
         }
@@ -165,7 +182,7 @@ fn gpu_variants_backends_agree() {
 #[test]
 fn new3d_sends_exactly_the_scheduled_messages() {
     let grid = (2, 2, 4);
-    let (f, b, _) = fixture(grid.2);
+    let (_, f, b) = fixture(grid.2, NRHS);
     let sim_cfg = config(Algorithm::New3d, Arch::Cpu, grid);
     let mut backends = backends_under_test();
     backends.push(Backend::Sim);
@@ -194,7 +211,7 @@ fn new3d_sends_exactly_the_scheduled_messages() {
 #[test]
 fn native_is_bit_stable_across_runs() {
     let grid = (2, 2, 4);
-    let (f, b, _) = fixture(grid.2);
+    let (_, f, b) = fixture(grid.2, NRHS);
     let cfg = SolverConfig {
         backend: Backend::Native,
         ..config(Algorithm::New3d, Arch::Cpu, grid)
@@ -215,13 +232,13 @@ fn native_is_bit_stable_across_runs() {
 #[test]
 fn proc_ranks_run_in_separate_processes() {
     let grid = (2, 2, 2);
-    let (f, b, want) = fixture(grid.2);
+    let (a, f, b) = fixture(grid.2, NRHS);
     let cfg = SolverConfig {
         backend: Backend::Proc,
         ..config(Algorithm::New3d, Arch::Cpu, grid)
     };
     let out = solve_distributed(&f, &b, &cfg);
-    assert!(sparse::max_abs_diff(&out.x, &want) < 1e-9);
+    common::assert_solves(&a, &f, &b, &out.x, NRHS, "proc 2x2x2");
 
     let nranks = grid.0 * grid.1 * grid.2;
     let mut pids = Vec::new();

@@ -2,6 +2,8 @@
 //! combination must reproduce the sequential reference solution exactly
 //! (same factors, same arithmetic), on every Table 1 analog matrix.
 
+mod common;
+
 use sptrsv_repro::prelude::*;
 use std::sync::Arc;
 
@@ -24,7 +26,7 @@ fn run(
         px,
         py,
         pz,
-        nrhs: 2,
+        nrhs: b.len() / f.lu.n(),
         algorithm: alg,
         arch,
         machine: if arch == Arch::Gpu {
@@ -43,28 +45,27 @@ fn run(
 #[test]
 fn all_algorithms_agree_on_every_matrix() {
     for m in gen::table1_suite(gen::Scale::Tiny) {
-        let (f, b, want) = reference(&m.matrix, 4);
-        for alg in [
-            Algorithm::New3d,
-            Algorithm::New3dFlat,
-            Algorithm::New3dNaiveAllreduce,
-            Algorithm::Baseline3d,
-        ] {
-            let out = run(&f, &b, alg, Arch::Cpu, (2, 2, 4), 0);
-            let diff = sparse::max_abs_diff(&out.x, &want);
-            assert!(diff < 1e-10, "{} with {alg:?}: diff {diff}", m.name);
-            assert!(
-                out.replication_disagreement < 1e-10,
-                "{} with {alg:?}: replicas disagree",
-                m.name
-            );
+        let f = Arc::new(factorize(&m.matrix, 4, &SymbolicOptions::default()).expect("factorize"));
+        for nrhs in common::NRHS_SWEEP {
+            let b = gen::standard_rhs(m.matrix.nrows(), nrhs);
+            for alg in [
+                Algorithm::New3d,
+                Algorithm::New3dFlat,
+                Algorithm::New3dNaiveAllreduce,
+                Algorithm::Baseline3d,
+            ] {
+                let out = run(&f, &b, alg, Arch::Cpu, (2, 2, 4), 0);
+                let what = format!("{} with {alg:?}", m.name);
+                common::assert_solves(&m.matrix, &f, &b, &out.x, nrhs, &what);
+                assert!(
+                    out.replication_disagreement < 1e-10,
+                    "{what}, nrhs {nrhs}: replicas disagree"
+                );
+            }
+            let out = run(&f, &b, Algorithm::New3d, Arch::Gpu, (2, 1, 4), 0);
+            let what = format!("{} on GPU path", m.name);
+            common::assert_solves(&m.matrix, &f, &b, &out.x, nrhs, &what);
         }
-        let out = run(&f, &b, Algorithm::New3d, Arch::Gpu, (2, 1, 4), 0);
-        assert!(
-            sparse::max_abs_diff(&out.x, &want) < 1e-10,
-            "{} on GPU path",
-            m.name
-        );
     }
 }
 

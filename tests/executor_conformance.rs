@@ -62,52 +62,68 @@ fn config(
     }
 }
 
-/// Solve every family with both engines and require bit-identical `x`
-/// (and agreement with the sequential reference).
+/// Solve every family with both engines, for every RHS count of the
+/// sweep, and require `x` to solve the system and to be bit-identical
+/// across engines.
 fn assert_engines_agree(alg: Algorithm, arch: Arch, grid: (usize, usize, usize)) {
-    let backend = common::backend();
     for (name, a) in families() {
         let f = Arc::new(factorize(&a, grid.2, &SymbolicOptions::default()).expect("factorize"));
-        let b = gen::standard_rhs(a.nrows(), NRHS);
-        let want = f.solve(&b, NRHS);
-
-        let run = |executor| {
-            let cfg = config(alg, arch, grid, executor, backend, FaultPlan::default());
-            solve_distributed(&f, &b, &cfg)
-        };
-        let tree = run(ExecutorKind::Tree);
-        let level = run(ExecutorKind::Level);
-
-        let diff = sparse::max_abs_diff(&tree.x, &want);
-        assert!(
-            diff < 1e-9,
-            "{alg:?}/{arch:?}/{grid:?}/{name}: tree engine disagrees with the \
-             sequential reference: {diff}"
-        );
-        assert_eq!(tree.x.len(), level.x.len());
-        for (i, (t, l)) in tree.x.iter().zip(&level.x).enumerate() {
-            assert_eq!(
-                t.to_bits(),
-                l.to_bits(),
-                "{alg:?}/{arch:?}/{grid:?}/{name}: x[{i}] differs across engines: \
-                 tree {t:e}, level {l:e}"
-            );
+        for nrhs in common::NRHS_SWEEP {
+            assert_engines_agree_at(alg, arch, grid, (name, &a, &f), nrhs);
         }
+    }
+}
 
-        // Both engines interpret the same compiled sends; only firing
-        // order differs, so traffic totals must match exactly.
-        let sent = |o: &SolveOutcome| {
-            o.stats
-                .iter()
-                .map(|s| s.msgs_sent.iter().sum::<u64>())
-                .sum::<u64>()
+fn assert_engines_agree_at(
+    alg: Algorithm,
+    arch: Arch,
+    grid: (usize, usize, usize),
+    (name, a, f): (&str, &CsrMatrix, &Arc<Factorized>),
+    nrhs: usize,
+) {
+    let b = gen::standard_rhs(a.nrows(), nrhs);
+    let run = |executor| {
+        let cfg = SolverConfig {
+            nrhs,
+            ..config(
+                alg,
+                arch,
+                grid,
+                executor,
+                common::backend(),
+                FaultPlan::default(),
+            )
         };
+        solve_distributed(f, &b, &cfg)
+    };
+    let tree = run(ExecutorKind::Tree);
+    let level = run(ExecutorKind::Level);
+
+    let what = format!("{alg:?}/{arch:?}/{grid:?}/{name} tree engine");
+    common::assert_solves(a, f, &b, &tree.x, nrhs, &what);
+    assert_eq!(tree.x.len(), level.x.len());
+    for (i, (t, l)) in tree.x.iter().zip(&level.x).enumerate() {
         assert_eq!(
-            sent(&tree),
-            sent(&level),
-            "{alg:?}/{arch:?}/{grid:?}/{name}: message counts diverge across engines"
+            t.to_bits(),
+            l.to_bits(),
+            "{alg:?}/{arch:?}/{grid:?}/{name}, nrhs {nrhs}: x[{i}] differs across engines: \
+             tree {t:e}, level {l:e}"
         );
     }
+
+    // Both engines interpret the same compiled sends; only firing order
+    // differs, so traffic totals must match exactly.
+    let sent = |o: &SolveOutcome| {
+        o.stats
+            .iter()
+            .map(|s| s.msgs_sent.iter().sum::<u64>())
+            .sum::<u64>()
+    };
+    assert_eq!(
+        sent(&tree),
+        sent(&level),
+        "{alg:?}/{arch:?}/{grid:?}/{name}: message counts diverge across engines"
+    );
 }
 
 #[test]

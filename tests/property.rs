@@ -7,9 +7,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sptrsv::schedule::{
-    run_pass, PassEngine, PassSched, RecvEvent, RowSched, Schedule, ScheduleKey,
+    run_pass, PassEngine, PassSched, RecvEvent, RowSched, Schedule, ScheduleKey, SlotLayout,
+    SolveStep, NO_ROW,
 };
-use sptrsv::Plan;
+use sptrsv::{Plan, ZTrim};
 use sptrsv_repro::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -253,6 +254,37 @@ proptest! {
         }
     }
 
+    /// Accumulator slots are laid out soundly for every rank and phase of
+    /// every schedule family (the four algorithms run three: New3d and
+    /// its naive-allreduce ablation share one) under both exchange
+    /// layouts, on `P ≤ 64`: see [`check_slot_layout`].
+    #[test]
+    fn accumulator_slots_tile_every_phase(
+        n in 24usize..70,
+        extra in 10usize..60,
+        seed in 0u64..1000,
+        px in 1usize..5,
+        py in 1usize..5,
+        logpz in 0u32..3,
+    ) {
+        let pz = 1usize << logpz;
+        let a = random_sym_dd(n, extra, seed);
+        let f = Arc::new(factorize(&a, pz, &SymbolicOptions::default()).unwrap());
+        for trim in [ZTrim::Live, ZTrim::Dense] {
+            let plan = Plan::with_trim(Arc::clone(&f), px, py, pz, trim);
+            for key in [
+                ScheduleKey { baseline: true, tree_comm: false },
+                ScheduleKey { baseline: false, tree_comm: false },
+                ScheduleKey { baseline: false, tree_comm: true },
+            ] {
+                for rs in &plan.schedule(key).ranks {
+                    check_slot_layout(&plan, &rs.l_steps, &rs.l_slots, true)?;
+                    check_slot_layout(&plan, &rs.u_steps, &rs.u_slots, false)?;
+                }
+            }
+        }
+    }
+
     /// The paper's sparse allreduce must sum correctly even when every
     /// message may be duplicated and the any-source queue is drained in an
     /// adversarial order — for arbitrary (Pz, nrhs).
@@ -334,7 +366,9 @@ proptest! {
                 sup: i * 3,
                 fmod0: srcs_per_row,
                 parent: if i % 2 == 0 { None } else { Some(0) },
-                children: vec![],
+                children: (10..10 + srcs_per_row).collect(),
+                acc: i,
+                part: 0,
             })
             .collect();
         // One logical partial per (row, src), plus adversarial duplicates,
@@ -445,6 +479,109 @@ proptest! {
             }
         }
     }
+}
+
+/// One phase's compiled accumulator slots must
+/// - tile its slab: rows ascend by supernode, and their slots lie side by
+///   side, in row order, over `[0, width)` exactly;
+/// - give each row contiguous slots whose keys strictly ascend;
+/// - put every block's slot inside its target row, covering exactly the
+///   rows the block touches (and name that row's pass position, if any);
+/// - give every reduction child of a row exactly one slot.
+fn check_slot_layout(
+    plan: &Plan,
+    steps: &[SolveStep],
+    layout: &SlotLayout,
+    lower: bool,
+) -> Result<(), TestCaseError> {
+    let sym = plan.fact.lu.sym();
+    let w = |sup: u32| sym.sup_width(sup as usize) as u32;
+    // Slot start offset -> (row, slot index in row); slots tile the slab.
+    let mut at = std::collections::BTreeMap::new();
+    let mut end = 0;
+    for (r, row) in layout.rows.iter().enumerate() {
+        prop_assert!(
+            r == 0 || layout.rows[r - 1].sup < row.sup,
+            "rows not ascending"
+        );
+        prop_assert_eq!((row.off, row.slot as usize), (end, at.len()));
+        for (i, &[first, len]) in layout.cover[row.slot as usize..][..row.n as usize]
+            .iter()
+            .enumerate()
+        {
+            prop_assert!(
+                len > 0 && first + len <= w(row.sup),
+                "cover outside row {}",
+                row.sup
+            );
+            at.insert(end, (r, i));
+            end += len;
+        }
+    }
+    prop_assert_eq!((end, at.len()), (layout.width, layout.cover.len()));
+
+    // Every slot a writer addresses, as (row, slot index, key).
+    let mut claims: Vec<(usize, usize, u64)> = Vec::new();
+    let mut claim = |sup: u32, off: u32, key: u64, cover: [u32; 2]| -> Result<(), TestCaseError> {
+        let Some(&(r, i)) = at.get(&off) else {
+            return Err(TestCaseError::fail(format!(
+                "slot {off} (key {key:#x}) starts no slot"
+            )));
+        };
+        let row = &layout.rows[r];
+        prop_assert!(
+            row.sup == sup,
+            "slot {off} of row {sup} lies in row {}",
+            row.sup
+        );
+        prop_assert_eq!(layout.cover[row.slot as usize + i], cover);
+        claims.push((r, i, key));
+        Ok(())
+    };
+    for pass in steps.iter().filter_map(|s| s.pass.as_ref()) {
+        for c in &pass.cols {
+            for b in &c.blocks {
+                // An L block covers its own rows, a U block all of `K`.
+                let cover = if lower {
+                    let rows = &sym.rows_below(c.sup as usize)[b.lo as usize..b.hi as usize];
+                    let start = sym.sup_cols(b.sup as usize).start as u32;
+                    [rows[0] - start, rows[rows.len() - 1] - rows[0] + 1]
+                } else {
+                    [0, w(b.sup)]
+                };
+                claim(b.sup, b.slot, SlotLayout::key_local(c.sup), cover)?;
+                let row = pass.row_index(b.sup).map_or(NO_ROW, |i| i as u32);
+                prop_assert_eq!(b.row, row);
+            }
+        }
+        for r in &pass.rows {
+            prop_assert_eq!(layout.rows[r.acc as usize].sup, r.sup);
+            for (j, &c) in r.children.iter().enumerate() {
+                let off = r.part + j as u32 * w(r.sup);
+                claim(r.sup, off, SlotLayout::key_partial(c), [0, w(r.sup)])?;
+            }
+        }
+    }
+    for x in steps.iter().filter_map(|s| s.exchange.as_ref()) {
+        if lower && !x.send {
+            prop_assert_eq!(x.slots.len(), x.sups.len());
+            for (&s, &off) in x.sups.iter().zip(&x.slots) {
+                claim(s, off, SlotLayout::key_exchange(x.tag), [0, w(s)])?;
+            }
+        } else {
+            prop_assert!(x.slots.is_empty(), "slots on a non-lsum exchange");
+        }
+    }
+    // Exactly one key per slot, every slot used, keys ascending in a row.
+    claims.sort_unstable();
+    claims.dedup();
+    prop_assert_eq!(claims.len(), layout.cover.len());
+    for k in 1..claims.len() {
+        let ((r0, i0, k0), (r1, i1, k1)) = (claims[k - 1], claims[k]);
+        prop_assert!((r0, i0) != (r1, i1), "two keys share slot {i1} of row {r1}");
+        prop_assert!(r0 != r1 || k0 < k1, "keys out of order in row {r1}");
+    }
+    Ok(())
 }
 
 /// Shared random-block generator for the kernel bit-identity properties:

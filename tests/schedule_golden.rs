@@ -21,6 +21,20 @@
 //! ordering are unchanged. Pre-PR9 serialized schedules lack the field and
 //! must be regenerated (the vendored serde stand-in has no `#[serde
 //! (default)]`).
+//!
+//! Migration note (flat per-rank solve state): the compiler now lays out
+//! each rank's solve state. `BlockSched` gained `slot` (its accumulator
+//! slot) and `row` (its target's position in the pass), `RowSched` gained
+//! `acc` and `part` (its accumulator row and first child-partial slot),
+//! `ZExchange` gained `slots`, and `RankSchedule` gained `vals` (the dense
+//! supernode index) and `l_slots`/`u_slots` (the per-phase slot layouts).
+//! One existing field changed meaning: an L block's slot spans only the
+//! rows the block touches, so its `dense_start` and `scatter` indices now
+//! count from the block's first row instead of its row supernode's first
+//! column (U blocks are unchanged). The fixture was regenerated once; with
+//! the new fields stripped it differs from the previous one in exactly
+//! those L-pass offsets — trees, tags, pack lists and ordering are
+//! unchanged. Older serialized schedules must be regenerated.
 
 use sptrsv::schedule::ScheduleKey;
 use sptrsv::Plan;
